@@ -26,9 +26,13 @@ import numpy as np
 
 from .statevec import BranchSet, PureState, Register
 
-#: Default detection tolerance: 2-norm reconstruction error accepted per
-#: factored cluster, and the support cutoff on |amplitude|.
+#: Default detection tolerance.  Two roles: the support cutoff on
+#: |amplitude|, and the relative 2-norm reconstruction error accepted per
+#: factored cluster.  The 2-norm of the amplitudes at or below the cutoff,
+#: times √2, counts against that error.
 DEFAULT_TOL = 1e-9
+
+_SQRT2 = 2.0**0.5
 
 
 class NotClusterNormalError(ValueError):
@@ -111,89 +115,128 @@ class AgreementReport:
     aggregates: tuple[float, ...]
 
 
-def _support_bits(vec: np.ndarray, n: int, cutoff: float) -> np.ndarray:
-    """Bit matrix (n x support-size) of the amplitudes above the cutoff."""
-    idx = np.flatnonzero(np.abs(vec) > cutoff)
+def _support(vec: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Support columns (index, amplitude) above the cutoff, and the 2-norm of
+    the rest relative to theirs."""
+    mag = np.abs(vec)
+    idx = np.flatnonzero(mag > cutoff)
     if idx.size == 0:
         raise ValueError("state has no support above the tolerance cutoff")
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    return (idx[None, :] >> shifts[:, None]) & 1
+    amp = vec[idx]
+    mag[idx] = 0.0
+    return idx, amp, float(np.linalg.norm(mag) / np.linalg.norm(amp))
 
 
-def _covariation_classes(bits: np.ndarray, allow_relabeling: bool) -> list[list[int]]:
-    """Group qubit positions whose support bits co-vary.
+def _covariation_classes(idx: np.ndarray, n: int, allow_relabeling: bool) -> list[list[int]]:
+    """Group qubit positions whose bits co-vary over the support columns ``idx``.
 
-    Constant positions and positions that match nothing stay singletons.
-    The relation is transitive for perfectly (anti)correlated bit patterns,
-    so a single merge pass suffices.
+    Positions with equal packed bit rows co-vary; in relabeling mode each row
+    is first XOR'd against its first column, so opposite rows match too.
+    Constant positions stay singletons.  Classes come out ordered by their
+    first position (the dict keeps insertion order).
     """
-    n = bits.shape[0]
-    varies = [bool(bits[p].any() and not bits[p].all()) for p in range(n)]
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    classes: dict[int | bytes, list[int]] = {}
     for p in range(n):
-        if not varies[p]:
-            continue
-        for q in range(p + 1, n):
-            if not varies[q]:
-                continue
-            same = bool(np.array_equal(bits[p], bits[q]))
-            opposite = allow_relabeling and bool(np.array_equal(bits[p], 1 - bits[q]))
-            if same or opposite:
-                parent[find(q)] = find(p)
+        row = (idx & (1 << (n - 1 - p))) != 0
+        key: int | bytes = p
+        if row.any() and not row.all():
+            if allow_relabeling and row[0]:
+                np.logical_not(row, out=row)
+            key = np.packbits(row).tobytes()
+        classes.setdefault(key, []).append(p)
+    return list(classes.values())
 
-    groups: dict[int, list[int]] = {}
-    for p in range(n):
-        groups.setdefault(find(p), []).append(p)
-    return sorted(groups.values(), key=lambda g: g[0])
+
+def _slice(
+    idx: np.ndarray, amp: np.ndarray, keep: np.ndarray, shifts: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The columns selected by ``keep``, with the bits at ``shifts`` removed.
+
+    The kept columns share their values at ``shifts``, so the shortened
+    indices stay sorted and distinct.
+    """
+    sub = idx[keep]
+    for s in sorted(shifts, reverse=True):
+        sub = ((sub >> (s + 1)) << s) | (sub & ((1 << s) - 1))
+    return sub, amp[keep]
+
+
+def _spread(keys: np.ndarray, sub: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Values at the sorted indices ``sub``, laid out over ``keys`` with zeros."""
+    out = np.zeros(keys.size, dtype=np.complex128)
+    out[np.searchsorted(keys, sub)] = values
+    return out
 
 
 def _peel(
     labels: list[str],
-    vec: np.ndarray,
+    idx: np.ndarray,
+    amp: np.ndarray,
     members: list[str],
     flips: list[bool],
     tol: float,
-) -> tuple[tuple[complex, complex], np.ndarray] | None:
-    """Try to factor ``vec`` as (Σ_k c_k |k…k⟩ over members) ⊗ rest.
+    cut: float,
+) -> tuple[tuple[tuple[complex, complex], np.ndarray, np.ndarray] | None, float]:
+    """Try to factor the columns as (Σ_k c_k |k…k⟩ over members) ⊗ rest.
 
-    Returns the coefficients and the normalized rest vector over the
-    remaining labels, or None when the reconstruction error exceeds ``tol``.
+    ``idx``/``amp`` are the sorted support columns over ``labels``.  Every
+    column carries the members in the up or the down pattern, since the
+    co-variation classes were read off these columns.  ``cut`` bounds,
+    relative to the columns' norm, how far the uncut state they stand for
+    lies from them.  The factor is accepted when its relative reconstruction
+    error on the columns stays within ``tol`` even at that distance.
+
+    Returns the coefficients and the normalized rest as sorted columns over
+    the remaining labels (None when not accepted), and the bound carried
+    over to the columns that come next.
     """
     n = len(labels)
-    positions = [labels.index(m) for m in members]
-    psi = np.moveaxis(vec.reshape([2] * n), positions, range(len(members)))
-    up_idx = tuple(int(f) for f in flips)
-    down_idx = tuple(1 - int(f) for f in flips)
-    v_up = psi[up_idx].reshape(-1)
-    v_down = psi[down_idx].reshape(-1)
+    shifts = [n - 1 - labels.index(m) for m in members]
+    mask = sum(1 << s for s in shifts)
+    up = sum(int(f) << s for f, s in zip(flips, shifts))
+    is_up = (idx & mask) == up
+    up_idx, v_up = _slice(idx, amp, is_up, shifts)
+    keys, v_down = _slice(idx, amp, ~is_up, shifts)
+    if not np.array_equal(up_idx, keys):
+        # Lay both slices over their union.  (np.union1d would import
+        # numpy.ma, 1.7 MiB of resident memory, on first use.)
+        down_idx = keys
+        extra = down_idx[~np.isin(down_idx, up_idx, assume_unique=True)]
+        keys = np.sort(np.concatenate((up_idx, extra)))
+        v_up, v_down = _spread(keys, up_idx, v_up), _spread(keys, down_idx, v_down)
 
-    n_up, n_down = np.linalg.norm(v_up), np.linalg.norm(v_down)
-    pick = v_up if n_up >= n_down else v_down
-    rest = pick / np.linalg.norm(pick)
+    n_up, n_down = float(np.linalg.norm(v_up)), float(np.linalg.norm(v_down))
+    norm = float(np.hypot(n_up, n_down))
+    n_pick, n_other = max(n_up, n_down), min(n_up, n_down)
+    rest = (v_up if n_up >= n_down else v_down) / n_pick
     c_up = complex(np.vdot(rest, v_up))
     c_down = complex(np.vdot(rest, v_down))
 
-    # Everything the factorization cannot explain: weight off the two
-    # uniform slices plus the non-parallel remainders.  Computed from
-    # difference vectors, not norm differences, to dodge cancellation.
-    leftover = psi.copy()
-    leftover[up_idx] = 0.0
-    leftover[down_idx] = 0.0
-    err_sq = (
-        float(np.linalg.norm(leftover)) ** 2
-        + float(np.linalg.norm(v_up - c_up * rest)) ** 2
-        + float(np.linalg.norm(v_down - c_down * rest)) ** 2
-    )
-    if np.sqrt(err_sq) > tol:
-        return None
-    return (c_up, c_down), rest
+    # What the factorization cannot explain: the non-parallel remainders,
+    # from difference vectors, not norm differences, to dodge cancellation.
+    # They overwrite the slices, owned copies no longer needed.
+    v_up -= c_up * rest
+    v_down -= c_down * rest
+    err = float(np.hypot(np.linalg.norm(v_up), np.linalg.norm(v_down))) / norm
+
+    # Moving the amplitudes by a relative distance d moves this error by at
+    # most √2·d (d per slice) and their norm by a factor within 1 ± d, so
+    # what is accepted here the same peel of the uncut amplitudes accepts.
+    if err + _SQRT2 * cut > tol * (1.0 - cut):
+        if err <= tol * (1.0 + cut) + _SQRT2 * cut:
+            # The uncut amplitudes may factor here after all; what they
+            # would leave is then no longer bounded by these columns.
+            cut = max(cut, 1.0)
+        return None, cut
+    if n_pick - n_other > _SQRT2 * cut * norm:
+        # The uncut amplitudes keep the same slice, renormalized alike.
+        cut *= norm / n_pick
+    else:
+        # Near a tie they may keep the other slice, which lies off the
+        # kept one by the fit's error.
+        c_other = abs(c_down if n_up >= n_down else c_up)
+        cut = norm * (err + cut) / c_other if c_other > 0.0 else 1.0
+    return ((c_up, c_down), keys, rest), cut
 
 
 def find_clusters(
@@ -208,33 +251,41 @@ def find_clusters(
     position, and when the residual is empty the tensor product of the
     cluster states reproduces the input to ``tol`` exactly (the terminal
     phase is folded into the last cluster).
+
+    ``tol`` plays two roles: amplitudes with modulus at or below it are cut
+    from the support, from which the candidate clusters are read, and it
+    bounds each cluster's relative 2-norm reconstruction error.  The 2-norm
+    of the cut amplitudes, times √2, counts against every cluster's
+    reconstruction error, so noise near the cutoff can move subsystems to
+    the residual, but a cluster accepted here is one the uncut amplitudes
+    factor within ``tol`` as well.
     """
     reg = state.register
     n = len(reg)
-    bits = _support_bits(state.amplitudes, n, tol)
-    classes = _covariation_classes(bits, allow_relabeling)
+    idx, amp, cut = _support(state.amplitudes, tol)
+    classes = _covariation_classes(idx, n, allow_relabeling)
+    first_column = int(idx[0])
 
     work_labels = list(reg.labels)
-    work_vec = state.amplitudes.copy()
     clusters: list[CorrelationCluster] = []
     residual: list[str] = []
 
     for group in classes:
         members = [reg.labels[p] for p in group]
-        first = group[0]
-        flips = [bool(bits[p, 0] != bits[first, 0]) for p in group]
-        peeled = _peel(work_labels, work_vec, members, flips, tol)
+        bits = [(first_column >> (n - 1 - p)) & 1 for p in group]
+        flips = [b != bits[0] for b in bits]
+        peeled, cut = _peel(work_labels, idx, amp, members, flips, tol, cut)
         if peeled is None:
             residual.extend(members)
             continue
-        coeffs, work_vec = peeled
+        coeffs, idx, amp = peeled
         work_labels = [lbl for lbl in work_labels if lbl not in members]
         clusters.append(CorrelationCluster(tuple(members), coeffs, tuple(flips)))
 
     if clusters and not residual:
-        # work_vec is now the leftover scalar; fold its phase into the last
+        # amp is now the leftover scalar; fold its phase into the last
         # cluster so the product of cluster states equals the input exactly.
-        phase = complex(work_vec.reshape(-1)[0])
+        phase = complex(amp[0])
         last = clusters[-1]
         clusters[-1] = CorrelationCluster(
             last.members,

@@ -90,9 +90,10 @@ def as_register(labels: "Register | Iterable[str]") -> Register:
 def _adopt(register: Register, arr: np.ndarray) -> "PureState":
     """Wrap a freshly allocated complex128 array as a state without re-copying.
 
-    Internal fast path for gate kernels.  The norm invariant is still
-    enforced; the copy and finiteness scan are skipped because unitary
-    kernels preserve both and the array is owned by the caller.
+    Internal fast path for gate kernels and :func:`tensor`.  The norm
+    invariant is still enforced; the copy and finiteness scan are skipped
+    because unitary kernels and products of validated states preserve both,
+    and the array is owned by the caller.
     """
     norm = float(np.linalg.norm(arr))
     if abs(norm - 1.0) > NORM_TOL:
@@ -283,7 +284,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
     if overlap:
         raise ValueError(f"registers share labels: {sorted(overlap)}")
     reg = Register(a.register.labels + b.register.labels)
-    return PureState(reg, np.kron(a.amplitudes, b.amplitudes))
+    return _adopt(reg, np.multiply.outer(a.amplitudes, b.amplitudes).reshape(-1))
 
 
 def approx_eq(
