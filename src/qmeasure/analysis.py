@@ -115,15 +115,21 @@ class AgreementReport:
     aggregates: tuple[float, ...]
 
 
-def _support(vec: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _support(state: PureState, cutoff: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Support columns (index, amplitude) above the cutoff, and the 2-norm of
-    the rest relative to theirs."""
-    mag = np.abs(vec)
+    the rest relative to theirs.
+
+    Reads only the positions in the state's support index when it has one.
+    """
+    vec, index = state.amplitudes, state._index
+    mag = np.abs(vec if index is None else vec[index])
     idx = np.flatnonzero(mag > cutoff)
     if idx.size == 0:
         raise ValueError("state has no support above the tolerance cutoff")
-    amp = vec[idx]
     mag[idx] = 0.0
+    if index is not None:
+        idx = index[idx]
+    amp = vec[idx]
     return idx, amp, float(np.linalg.norm(mag) / np.linalg.norm(amp))
 
 
@@ -262,7 +268,7 @@ def find_clusters(
     """
     reg = state.register
     n = len(reg)
-    idx, amp, cut = _support(state.amplitudes, tol)
+    idx, amp, cut = _support(state, tol)
     classes = _covariation_classes(idx, n, allow_relabeling)
     first_column = int(idx[0])
 

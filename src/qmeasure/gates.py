@@ -4,7 +4,9 @@ The named gates are the record-copying imprint (a CNOT whose control fires
 on ↓), its inverse, the subsystem swap, and the self-inverse ↑/↓ ↔ →/←
 basis rotation.  Kernels work by strided slicing of the amplitude array
 (the stride is fixed by the operand's register position), never by building
-2^n x 2^n matrices, so a gate costs O(2^n) time and memory.
+2^n x 2^n matrices, so a gate costs O(2^n) time and memory.  On a state with
+a support index (see :mod:`qmeasure.statevec`) the permutation gates move
+only the indexed amplitudes: they permute the index bits and scatter.
 """
 from __future__ import annotations
 
@@ -78,6 +80,13 @@ def _pair_positions(state: PureState, a: str, b: str) -> tuple[int, int, int]:
     return reg.position(a), reg.position(b), len(reg)
 
 
+def _moved(state: PureState, to: np.ndarray) -> PureState:
+    """The state whose amplitudes at its support index move to ``to``."""
+    out = np.zeros(state.dim, dtype=np.complex128)
+    out[to] = state.amplitudes[state._index]
+    return _adopt(state.register, out, np.sort(to))
+
+
 def imprint(state: PureState, source: str, target: str) -> PureState:
     """Flip the target wherever the source is ↓; identity on the ↑ rows.
 
@@ -86,6 +95,10 @@ def imprint(state: PureState, source: str, target: str) -> PureState:
     if source == target:
         raise ValueError(f"imprint needs two distinct operands, got {source!r} twice")
     ps, pt, n = _pair_positions(state, source, target)
+    index = state._index
+    if index is not None:
+        fired = (index >> (n - 1 - ps)) & 1
+        return _moved(state, index ^ (fired << (n - 1 - pt)))
     psi = state.amplitudes.reshape([2] * n)
     out = np.empty_like(psi)
     keep = _slice_at(n, {ps: 0})
@@ -107,6 +120,11 @@ def swap(state: PureState, a: str, b: str) -> PureState:
     if a == b:
         raise ValueError(f"swap needs two distinct operands, got {a!r} twice")
     pa, pb, n = _pair_positions(state, a, b)
+    index = state._index
+    if index is not None:
+        sa, sb = n - 1 - pa, n - 1 - pb
+        differ = ((index >> sa) ^ (index >> sb)) & 1
+        return _moved(state, index ^ ((differ << sa) | (differ << sb)))
     psi = state.amplitudes.reshape([2] * n)
     return _adopt(state.register, np.swapaxes(psi, pa, pb).reshape(-1))
 

@@ -1,7 +1,7 @@
 """Brute-force verification path: explicit dense matrices for every gate.
 
 This module deliberately shares no kernel code with :mod:`qmeasure.gates`.
-Each gate is assembled as a full 2^n x 2^n matrix from Kronecker products of
+Each gate is assembled as a full 2^n x 2^n matrix from Kronecker chains of
 2x2 blocks and applied by plain matrix-vector multiplication.  Naive on
 purpose: it is the independent oracle the test suite (and any third party)
 can check the strided kernels against, and it is capped at a size where the
@@ -27,11 +27,22 @@ _P_UP = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 _P_DOWN = np.array([[0, 0], [0, 1]], dtype=np.complex128)
 
 
-def _embed(u: np.ndarray, pos: int, n: int) -> np.ndarray:
-    """Place a 2x2 block on qubit ``pos`` of an n-qubit identity."""
-    left = np.eye(2**pos, dtype=np.complex128)
-    right = np.eye(2 ** (n - pos - 1), dtype=np.complex128)
-    return np.kron(np.kron(left, u), right)
+def _chain(blocks: dict[int, np.ndarray], n: int) -> np.ndarray:
+    """Kronecker chain of 2x2 blocks on the given qubits, identity elsewhere.
+
+    Runs of untouched qubits enter as one ``np.eye`` each.  By the
+    mixed-product property, the chain with blocks A at p and B at q equals
+    the product of the single-block chains, at a fraction of its cost.
+    """
+    out = np.ones((1, 1), dtype=np.complex128)
+    start = 0
+    for pos in sorted(blocks) + [n]:
+        if pos > start:
+            out = np.kron(out, np.eye(2 ** (pos - start), dtype=np.complex128))
+        if pos < n:
+            out = np.kron(out, blocks[pos])
+        start = pos + 1
+    return out
 
 
 def gate_matrix(op: GateOp, register: Register) -> np.ndarray:
@@ -39,7 +50,7 @@ def gate_matrix(op: GateOp, register: Register) -> np.ndarray:
     n = len(register)
     if isinstance(op, Imprint):
         ps, pt = register.position(op.source), register.position(op.target)
-        return _embed(_P_UP, ps, n) + _embed(_P_DOWN, ps, n) @ _embed(_X, pt, n)
+        return _chain({ps: _P_UP}, n) + _chain({ps: _P_DOWN, pt: _X}, n)
     if isinstance(op, InverseImprint):
         forward = gate_matrix(Imprint(op.source, op.target), register)
         return forward.conj().T
@@ -47,10 +58,10 @@ def gate_matrix(op: GateOp, register: Register) -> np.ndarray:
         pa, pb = register.position(op.a), register.position(op.b)
         total = np.eye(2**n, dtype=np.complex128)
         for pauli in (_X, _Y, _Z):
-            total = total + _embed(pauli, pa, n) @ _embed(pauli, pb, n)
+            total = total + _chain({pa: pauli, pb: pauli}, n)
         return total / 2.0
     if isinstance(op, RotateBasis):
-        return _embed(_H, register.position(op.target), n)
+        return _chain({register.position(op.target): _H}, n)
     raise TypeError(f"not a gate operation: {op!r}")
 
 

@@ -1,6 +1,8 @@
+import gc
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -144,6 +146,41 @@ class TestRunner:
         }
         with pytest.raises(RunError, match="step 2"):
             run(parse_scenario(json.dumps(doc)))
+
+    def test_dropped_run_error_keeps_no_state_alive(self):
+        # A Z-frame GHZ environment handed to an X-basis corrected
+        # measurement is rejected at step 1.  The RunError holds the failing
+        # frames through its traceback, but no reference cycle: once the
+        # caller drops it, the 2^14-amplitude states are freed without gc.
+        env = [f"e{i}" for i in range(1, 13)]
+        doc = {
+            "subsystems": [
+                {"label": "s", "amplitudes": [[0.6, 0], [0.8, 0]]},
+                {"label": "o", "amplitudes": [[0.8, 0], [0, 0.6]]},
+                {"ghz": {"labels": env, "coefficients": [[1, 0], [1, 0]]}},
+            ],
+            "script": [
+                {"op": "corrected_measure", "signal": "s", "observer": "o",
+                 "environment": env, "basis": "X"},
+            ],
+        }
+        scenario = parse_scenario(json.dumps(doc))
+        state_bytes = 2**14 * 16
+        gc.disable()
+        try:
+            for _ in range(2):  # the first run warms import-time caches
+                tracemalloc.start()
+                try:
+                    try:
+                        run(scenario)
+                    except RunError:
+                        pass
+                    live = tracemalloc.get_traced_memory()[0]
+                finally:
+                    tracemalloc.stop()
+        finally:
+            gc.enable()
+        assert live < state_bytes / 4, f"{live} bytes live after the error was dropped"
 
     def test_determinism(self):
         text = SCENARIOS.joinpath("corrected_n3.json").read_text()

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from qmeasure import oracle
 from qmeasure.gates import Imprint, InverseImprint, RotateBasis, Swap, apply_script
 from qmeasure.oracle import ORACLE_MAX_QUBITS, gate_matrix, oracle_apply
 from qmeasure.statevec import PureState, Register, approx_eq
@@ -53,6 +56,41 @@ def test_agrees_with_strided_kernels_on_random_scripts(rng):
         fast = apply_script(state, script)
         slow = oracle_apply(state, script)
         assert approx_eq(fast, slow, 1e-10)
+
+
+def _embed(u, pos, n):
+    left = np.eye(2**pos, dtype=np.complex128)
+    right = np.eye(2 ** (n - pos - 1), dtype=np.complex128)
+    return np.kron(np.kron(left, u), right)
+
+
+def product_form_matrix(op, register):
+    """Reference: every term as a product of single-block embeddings, O(8^n)."""
+    n = len(register)
+    if isinstance(op, Imprint):
+        ps, pt = register.position(op.source), register.position(op.target)
+        return _embed(oracle._P_UP, ps, n) + _embed(oracle._P_DOWN, ps, n) @ _embed(
+            oracle._X, pt, n
+        )
+    if isinstance(op, InverseImprint):
+        return product_form_matrix(Imprint(op.source, op.target), register).conj().T
+    if isinstance(op, Swap):
+        pa, pb = register.position(op.a), register.position(op.b)
+        total = np.eye(2**n, dtype=np.complex128)
+        for pauli in (oracle._X, oracle._Y, oracle._Z):
+            total = total + _embed(pauli, pa, n) @ _embed(pauli, pb, n)
+        return total / 2.0
+    return _embed(oracle._H, register.position(op.target), n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_kronecker_chains_equal_the_product_form_bytewise(n):
+    reg = Register(labels(n))
+    ops = [RotateBasis(lbl) for lbl in reg.labels]
+    for a, b in itertools.permutations(reg.labels, 2):
+        ops += [Imprint(a, b), InverseImprint(a, b), Swap(a, b)]
+    for op in ops:
+        assert gate_matrix(op, reg).tobytes() == product_form_matrix(op, reg).tobytes(), op
 
 
 def test_size_cap():
