@@ -52,9 +52,11 @@ from .protocol import (
 from .runner import Report, RunError, Section, run
 from .scenario import Scenario, ScenarioError, parse_scenario
 from .statevec import (
+    DENSE_MAX_QUBITS,
     BasisChoice,
     Branch,
     BranchSet,
+    DenseLimitError,
     PureState,
     Register,
     approx_eq,

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevec import BranchSet, PureState, Register
+from .statevec import BranchSet, PureState, Register, _check_dense
 
 #: Default detection tolerance.  Two roles: the support cutoff on
 #: |amplitude|, and the relative 2-norm reconstruction error accepted per
@@ -119,17 +119,17 @@ def _support(state: PureState, cutoff: float) -> tuple[np.ndarray, np.ndarray, f
     """Support columns (index, amplitude) above the cutoff, and the 2-norm of
     the rest relative to theirs.
 
-    Reads only the positions in the state's support index when it has one.
+    Reads only the amplitudes at the state's support index when it has one.
     """
-    vec, index = state.amplitudes, state._index
-    mag = np.abs(vec if index is None else vec[index])
+    index, values = state._index, state._values
+    mag = np.abs(values)
     idx = np.flatnonzero(mag > cutoff)
     if idx.size == 0:
         raise ValueError("state has no support above the tolerance cutoff")
     mag[idx] = 0.0
+    amp = values[idx]
     if index is not None:
         idx = index[idx]
-    amp = vec[idx]
     return idx, amp, float(np.linalg.norm(mag) / np.linalg.norm(amp))
 
 
@@ -316,6 +316,8 @@ def reconstruct(decomposition: ClusterDecomposition, register: Register) -> Pure
     covered = [m for cluster in decomposition.clusters for m in cluster.members]
     if sorted(covered) != sorted(register.labels):
         raise ValueError("clusters do not cover the register exactly")
+    n = len(register)
+    _check_dense(n)
 
     vec = np.ones(1, dtype=np.complex128)
     for cluster in decomposition.clusters:
@@ -327,7 +329,6 @@ def reconstruct(decomposition: ClusterDecomposition, register: Register) -> Pure
         vec = np.kron(vec, part)
 
     perm = [covered.index(lbl) for lbl in register.labels]
-    n = len(register)
     vec = np.transpose(vec.reshape([2] * n), perm).reshape(-1)
     return PureState(register, vec)
 

@@ -4,9 +4,10 @@ The named gates are the record-copying imprint (a CNOT whose control fires
 on ↓), its inverse, the subsystem swap, and the self-inverse ↑/↓ ↔ →/←
 basis rotation.  Kernels work by strided slicing of the amplitude array
 (the stride is fixed by the operand's register position), never by building
-2^n x 2^n matrices, so a gate costs O(2^n) time and memory.  On a state with
-a support index (see :mod:`qmeasure.statevec`) the permutation gates move
-only the indexed amplitudes: they permute the index bits and scatter.
+2^n x 2^n matrices, so a gate costs O(2^n) time and memory.  On a state that
+holds only its support index (see :mod:`qmeasure.statevec`) the permutation
+gates move only the indexed amplitudes: they permute the index bits and
+reorder the amplitudes, and no dense vector is built.
 """
 from __future__ import annotations
 
@@ -82,9 +83,8 @@ def _pair_positions(state: PureState, a: str, b: str) -> tuple[int, int, int]:
 
 def _moved(state: PureState, to: np.ndarray) -> PureState:
     """The state whose amplitudes at its support index move to ``to``."""
-    out = np.zeros(state.dim, dtype=np.complex128)
-    out[to] = state.amplitudes[state._index]
-    return _adopt(state.register, out, np.sort(to))
+    order = np.argsort(to)
+    return _adopt(state.register, state._values[order], to[order])
 
 
 def imprint(state: PureState, source: str, target: str) -> PureState:

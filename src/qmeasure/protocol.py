@@ -209,20 +209,26 @@ def corrected_measure(
 
 
 def check_ready(state: PureState, observer: str, basis: str) -> None:
-    """Raise unless the observer sits in the basis-0 ready state (|↑⟩ or |→⟩)."""
+    """Raise unless the observer sits in the basis-0 ready state (|↑⟩ or |→⟩).
+
+    In Z, a state holding only its support index is checked on the indexed
+    amplitudes, so it stays sparse.
+    """
     pos = state.register.position(observer)
     n = state.n_qubits
-    psi = state.amplitudes.reshape([2] * n)
-    v_up = np.moveaxis(psi, pos, 0)[0].reshape(-1)
-    v_down = np.moveaxis(psi, pos, 0)[1].reshape(-1)
-    if basis == "Z":
-        off = float(np.linalg.norm(v_down))
-        ready = "↑"
-    elif basis == "X":
-        off = float(np.linalg.norm(v_up - v_down)) / np.sqrt(2.0)
-        ready = "→"
-    else:
+    if basis not in ("Z", "X"):
         raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
+    if basis == "Z" and state._index is not None:
+        down = ((state._index >> (n - 1 - pos)) & 1).astype(bool)
+        off = float(np.linalg.norm(state._values[down]))
+    else:
+        psi = np.moveaxis(state.amplitudes.reshape([2] * n), pos, 0)
+        v_up, v_down = psi[0].reshape(-1), psi[1].reshape(-1)
+        if basis == "Z":
+            off = float(np.linalg.norm(v_down))
+        else:
+            off = float(np.linalg.norm(v_up - v_down)) / np.sqrt(2.0)
+    ready = "↑" if basis == "Z" else "→"
     if off > READY_TOL:
         raise ObserverNotReadyError(
             f"observer {observer!r} deviates from the ready state |{ready}⟩ by "

@@ -39,12 +39,17 @@ from .statevec import (
 
 
 class RunError(Exception):
-    """A script step failed at run time; carries the 1-based step number."""
+    """A script step failed at run time; carries the 1-based step number.
 
-    def __init__(self, step_number: int, step: Step, cause: Exception):
+    Step number 0 means the initial state could not be built; ``step`` is
+    then the declaration that failed.
+    """
+
+    def __init__(self, step_number: int, step: Step | SingleDecl | GhzDecl, cause: Exception):
         self.step_number = step_number
         self.cause = cause
-        super().__init__(f"step {step_number} ({type(step).__name__}): {cause}")
+        where = f"step {step_number}" if step_number else "initial state"
+        super().__init__(f"{where} ({type(step).__name__}): {cause}")
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,10 @@ def _initial_state(scenario: Scenario) -> PureState:
             part = make_ghz(decl.labels, decl.coefficients)
         else:
             raise TypeError(f"unknown declaration {decl!r}")
-        state = part if state is None else tensor(state, part)
+        try:
+            state = part if state is None else tensor(state, part)
+        except ValueError as exc:
+            raise RunError(0, decl, exc) from exc
     assert state is not None
     return state
 

@@ -40,7 +40,7 @@ from typing import Any, Mapping
 
 from .gates import GateOp, Imprint, InverseImprint, RotateBasis, Swap
 from .protocol import MeasurementOutcomeSpec
-from .statevec import Register
+from .statevec import MAX_QUBITS, Register
 
 ERROR_CODES = (
     "syntax",
@@ -373,6 +373,10 @@ def parse_scenario(text: str) -> Scenario:
     _require(doc, ("subsystems",), "scenario", optional=("script", "options"))
 
     declarations, order = _parse_subsystems(doc["subsystems"])
+    if len(order) > MAX_QUBITS:
+        raise ScenarioError(
+            "bad-structure", f"{len(order)} subsystems declared, at most {MAX_QUBITS} are supported"
+        )
     declared = set(order)
     script_raw = doc.get("script", [])
     if not isinstance(script_raw, list):

@@ -9,28 +9,37 @@ Conventions used throughout the package:
   so the flat amplitude array reads like left-to-right ket notation: for a
   register (a, b) the order is |↑↑⟩, |↑↓⟩, |↓↑⟩, |↓↓⟩.
 - States are values.  Amplitude arrays are copied and locked at construction
-  and every operation returns a new state, so states are safe to share
+  (a lazily built dense vector is built once, under a lock, and locked as
+  well) and every operation returns a new state, so states are safe to share
   between threads.
+- A register has at most ``MAX_QUBITS`` subsystems, so that every amplitude
+  position fits an int64.
 - Constructors that accept user coefficients normalize them; everything else
   validates that the squared 2-norm is 1 within ``NORM_TOL`` and refuses
   states that drifted further than that.
 
-Sparse states carry a support index.  The dense amplitude vector is the
-only source of truth; beside it a state may keep a private index: sorted,
-unique int64 positions outside which every amplitude is exactly 0.  A state
-keeps it only while it lists at most 2^n · ``SPARSE_SHARE`` positions, the
-share below which moving the indexed amplitudes beats a strided pass (the
-crossover lies near 1/8 at n = 20).
-:func:`make_ghz` sets it, :func:`tensor` combines its operands' indices,
-and the permutation gates (imprint, inverse imprint, swap) move it with the
-amplitudes; the basis rotation, arbitrary single-qubit unitaries, the dense
-oracle and the public ``PureState`` constructor yield states without one.
-Where it is kept, the norm check, cluster detection's support scan and
-Z-basis branch listing read the indexed positions instead of all 2^n.
+Sparse states hold only their support.  A state built by
+:func:`make_ghz`, :func:`tensor` or a permutation gate (imprint, inverse
+imprint, swap) on such a state keeps a private support index: sorted,
+unique int64 positions, and the amplitudes at them, outside which every
+amplitude is exactly 0.  That pair is the state's source of truth; it is
+kept only while it lists at most 2^n · ``SPARSE_SHARE`` positions, the share
+below which moving the indexed amplitudes beats a strided pass (the
+crossover lies near 1/8 at n = 20).  ``dim``, the norm check, cluster
+detection's support scan, Z-basis branch listing and the Z-basis ready check
+read the indexed amplitudes.  The dense vector is built, on first access to
+:attr:`PureState.amplitudes`, only by the dense kernels that read it (basis
+rotation, arbitrary single-qubit unitaries, the X-basis ready check, X-basis
+branch listing, the dense oracle, :func:`approx_eq`) and is then cached on
+the state.  Those kernels, and the public ``PureState`` constructor, yield
+states without an index.  No dense vector over more than
+``DENSE_MAX_QUBITS`` qubits is built; asking for one raises
+:class:`DenseLimitError`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -48,6 +57,16 @@ PRUNE_TOL = 1e-12
 #: strided kernel (n = 14, 20); at 1/8 it costs 0.8x (n=14) and 1.1x (n=20).
 SPARSE_SHARE = 1 / 16
 
+#: Most subsystems in a register: amplitude positions are int64.
+MAX_QUBITS = 63
+
+#: Most qubits a dense amplitude vector (16 · 2^n bytes) is built for.  The
+#: dense path's peak is about 6.1 times the vector (an X-basis corrected
+#: measurement rejecting its environment; 6.06x measured by tracemalloc at
+#: n = 18, 20, 22), so 24 qubits peak near 1.5 GiB, under a quarter of an
+#: 8 GiB host; 25 would need 3 GiB.
+DENSE_MAX_QUBITS = 24
+
 UP, DOWN, RIGHT, LEFT = "↑", "↓", "→", "←"
 Z_SYMBOLS = (UP, DOWN)
 X_SYMBOLS = (RIGHT, LEFT)
@@ -57,6 +76,31 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 #: A basis choice is "Z" (computational ↑/↓) or "X" (→/←), given either as
 #: one string applied uniformly or as a mapping covering every register label.
 BasisChoice = str | Mapping[str, str]
+
+#: Serializes building the dense vector of an index-holding state, so that
+#: every reader of one state gets the same cached array.
+_MATERIALIZE = threading.Lock()
+
+
+class DenseLimitError(ValueError):
+    """A dense amplitude vector over more than ``DENSE_MAX_QUBITS`` qubits
+    was asked for; it is refused before anything is allocated."""
+
+
+def _check_dense(n: int) -> None:
+    if n > DENSE_MAX_QUBITS:
+        raise DenseLimitError(
+            f"a dense amplitude vector over {n} qubits exceeds the limit of "
+            f"{DENSE_MAX_QUBITS} qubits"
+        )
+
+
+def _scatter(n: int, index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The dense 2^n vector holding ``values`` at ``index`` and 0 elsewhere."""
+    _check_dense(n)
+    out = np.zeros(2**n, dtype=np.complex128)
+    out[index] = values
+    return out
 
 
 @dataclass(frozen=True)
@@ -80,6 +124,10 @@ class Register:
                 raise ValueError(f"subsystem label may not contain whitespace: {label!r}")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"duplicate subsystem labels in register: {self.labels}")
+        if len(self.labels) > MAX_QUBITS:
+            raise ValueError(
+                f"register has {len(self.labels)} subsystems, at most {MAX_QUBITS} are supported"
+            )
         object.__setattr__(self, "_pos", {lbl: i for i, lbl in enumerate(self.labels)})
 
     def __len__(self) -> int:
@@ -109,48 +157,48 @@ def as_register(labels: "Register | Iterable[str]") -> Register:
 def _adopt(
     register: Register, arr: np.ndarray, index: np.ndarray | None = None
 ) -> "PureState":
-    """Wrap a freshly allocated complex128 array as a state without re-copying.
+    """Wrap freshly allocated complex128 data as a state without re-copying.
 
-    Internal fast path for gate kernels and state builders.  The norm
-    invariant is still enforced; the copy and finiteness scan are skipped
-    because unitary kernels and products of validated states preserve both,
-    and the array is owned by the caller.  ``index``, when given, is a
-    support index for ``arr`` (see the module docstring); it is kept only
-    within ``SPARSE_SHARE``, and the norm is then summed over it.
+    Internal fast path for gate kernels and state builders.  ``arr`` is the
+    dense 2^n vector or, when ``index`` is given, the amplitudes at that
+    support index (see the module docstring); an index beyond
+    ``SPARSE_SHARE`` is scattered into the dense vector and dropped.  The
+    state keeps ``arr`` as its stored values (``_values``); the norm
+    invariant is still enforced over them, but the copy and finiteness scan
+    are skipped because unitary kernels and products of validated states
+    preserve both, and the arrays are owned by the caller.
     """
     if index is not None:
-        if index.size > arr.size * SPARSE_SHARE:
-            index = None
+        if index.size > 2 ** len(register) * SPARSE_SHARE:
+            arr, index = _scatter(len(register), index, arr), None
         else:
             index.setflags(write=False)
-    norm = float(np.linalg.norm(arr if index is None else arr[index]))
+    norm = float(np.linalg.norm(arr))
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state norm {norm!r} is off unity by more than {NORM_TOL}")
     arr.setflags(write=False)
     state = object.__new__(PureState)
-    object.__setattr__(state, "register", register)
-    object.__setattr__(state, "amplitudes", arr)
-    object.__setattr__(state, "_index", index)
+    state.__dict__.update(
+        register=register, _index=index, _values=arr, _dense=arr if index is None else None
+    )
     return state
 
 
-@dataclass(frozen=True, eq=False)
 class PureState:
-    """Dense complex amplitude vector over a labeled qubit register.
+    """Complex amplitude vector over a labeled qubit register.
 
     The amplitude array is copied at construction, validated (finite, length
     2^n, unit norm within ``NORM_TOL``) and then made read-only.  Use
     :func:`product_state`, :func:`make_ghz` or :func:`basis_state` to build
-    states from unnormalized coefficients.
+    states from unnormalized coefficients.  States are immutable and compare
+    by identity.
     """
 
     register: Register
-    amplitudes: np.ndarray
-    _index: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        arr = np.array(self.amplitudes, dtype=np.complex128, copy=True).reshape(-1)
-        n = len(self.register)
+    def __init__(self, register: Register, amplitudes: np.ndarray) -> None:
+        arr = np.array(amplitudes, dtype=np.complex128, copy=True).reshape(-1)
+        n = len(register)
         if arr.shape != (2**n,):
             raise ValueError(
                 f"amplitude vector has length {arr.size}, expected 2^{n} = {2**n}"
@@ -161,7 +209,30 @@ class PureState:
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm!r} is off unity by more than {NORM_TOL}")
         arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
+        self.__dict__.update(register=register, _index=None, _values=arr, _dense=arr)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The read-only dense 2^n amplitude vector.
+
+        A state that holds only its support index builds it on first access
+        and caches it; every later access returns the same array.
+        """
+        dense = self._dense
+        if dense is None:
+            with _MATERIALIZE:
+                dense = self._dense
+                if dense is None:
+                    dense = _scatter(self.n_qubits, self._index, self._values)
+                    dense.setflags(write=False)
+                    self.__dict__["_dense"] = dense
+        return dense
 
     @property
     def n_qubits(self) -> int:
@@ -169,11 +240,10 @@ class PureState:
 
     @property
     def dim(self) -> int:
-        return self.amplitudes.size
+        return 2**self.n_qubits
 
     def norm(self) -> float:
-        vec = self.amplitudes
-        return float(np.linalg.norm(vec if self._index is None else vec[self._index]))
+        return float(np.linalg.norm(self._values))
 
     def __repr__(self) -> str:
         return f"PureState(register={self.register.labels}, dim={self.dim})"
@@ -268,6 +338,7 @@ def product_state(
         raise ValueError(
             f"got {len(per_qubit)} amplitude pairs for {len(reg)} register labels"
         )
+    _check_dense(len(reg))
     vec = np.ones(1, dtype=np.complex128)
     for label, pair in zip(reg.labels, per_qubit):
         vec = np.kron(vec, _normalized_pair(pair, f"amplitude pair for {label!r}"))
@@ -303,10 +374,7 @@ def make_ghz(
     if len(coefficients) != 2:
         raise ValueError("make_ghz takes exactly two coefficients (qubit registers)")
     coeffs = _normalized_pair(coefficients, "GHZ coefficient vector")
-    index = np.array([0, 2 ** len(reg) - 1], dtype=np.int64)
-    vec = np.zeros(2 ** len(reg), dtype=np.complex128)
-    vec[index] = coeffs
-    return _adopt(reg, vec, index)
+    return _adopt(reg, coeffs, np.array([0, 2 ** len(reg) - 1], dtype=np.int64))
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
@@ -316,22 +384,24 @@ def tensor(a: PureState, b: PureState) -> PureState:
         raise ValueError(f"registers share labels: {sorted(overlap)}")
     reg = Register(a.register.labels + b.register.labels)
     limit = 2 ** len(reg) * SPARSE_SHARE
-    ia, ib = _known_support(a, limit), _known_support(b, limit)
-    if ia is None or ib is None or ia.size * ib.size > limit:
+    sa, sb = _known_support(a, limit), _known_support(b, limit)
+    if sa is None or sb is None or sa[0].size * sb[0].size > limit:
+        _check_dense(len(reg))
         return _adopt(reg, np.multiply.outer(a.amplitudes, b.amplitudes).reshape(-1))
+    (ia, va), (ib, vb) = sa, sb
     index = ((ia << b.n_qubits)[:, None] | ib).reshape(-1)
-    vec = np.zeros(2 ** len(reg), dtype=np.complex128)
-    vec[index] = np.multiply.outer(a.amplitudes[ia], b.amplitudes[ib]).reshape(-1)
-    return _adopt(reg, vec, index)
+    return _adopt(reg, np.multiply.outer(va, vb).reshape(-1), index)
 
 
-def _known_support(state: PureState, limit: float) -> np.ndarray | None:
-    """The state's support index, or its nonzero positions when it has none
-    but is small enough (at most ``limit`` positions) to scan."""
+def _known_support(state: PureState, limit: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """The state's support index and the amplitudes at it, or its nonzero
+    positions and amplitudes when it has none but is small enough (at most
+    ``limit`` positions) to scan."""
     if state._index is not None:
-        return state._index
+        return state._index, state._values
     if state.dim <= limit:
-        return np.flatnonzero(state.amplitudes)
+        index = np.flatnonzero(state._values)
+        return index, state._values[index]
     return None
 
 
@@ -385,16 +455,18 @@ def branch_decompose(state: PureState, basis: BasisChoice) -> BranchSet:
     """
     selectors = normalize_basis(basis, state.register)
     n = state.n_qubits
-    vec = state.amplitudes
     if "X" not in selectors and state._index is not None:
-        keep = state._index[np.abs(vec[state._index]) > PRUNE_TOL]
+        live = np.abs(state._values) > PRUNE_TOL
+        keep, amps = state._index[live], state._values[live]
     else:
+        vec = state.amplitudes
         for pos, sel in enumerate(selectors):
             if sel == "X":
                 vec = _rotate_axis(vec, n, pos)
         keep = np.flatnonzero(np.abs(vec) > PRUNE_TOL)
+        amps = vec[keep]
     branches = tuple(
-        Branch(_outcome_string(int(i), selectors), complex(vec[i])) for i in keep
+        Branch(_outcome_string(int(i), selectors), complex(a)) for i, a in zip(keep, amps)
     )
     return BranchSet(state.register, selectors, branches)
 
@@ -403,6 +475,7 @@ def from_branches(branch_set: BranchSet) -> PureState:
     """Rebuild the state a BranchSet was decomposed from (round-trip inverse)."""
     reg = branch_set.register
     n = len(reg)
+    _check_dense(n)
     vec = np.zeros(2**n, dtype=np.complex128)
     for branch in branch_set.branches:
         index = 0

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from qmeasure import statevec
 from qmeasure.cli import main
 from qmeasure.runner import RunError, fmt, run
 from qmeasure.scenario import ScenarioError, parse_scenario
+from qmeasure.statevec import DenseLimitError
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -241,6 +243,57 @@ class TestRunner:
         assert fast.render_text() == slow.render_text()
         aggregate = [s for s in fast.sections if "agreement" in s.title][0].rows[-1]
         assert aggregate[2] == "1"
+
+
+def _ghz_scenario(n: int, script: list) -> str:
+    return json.dumps({
+        "subsystems": [
+            {"label": "s", "amplitudes": [[0.8, 0], [0.6, 0]]},
+            {"ghz": {"labels": [f"e{i}" for i in range(1, n)], "coefficients": [[1, 0], [1, 0]]}},
+        ],
+        "script": script,
+    })
+
+
+class TestSizeLimits:
+    """Oversized inputs end in coded errors, without allocating."""
+
+    def test_register_beyond_63_subsystems_is_a_structure_error(self):
+        assert len(parse_scenario(_ghz_scenario(63, [])).register) == 63
+        with pytest.raises(ScenarioError, match="64 subsystems") as err:
+            parse_scenario(_ghz_scenario(64, []))
+        assert err.value.code == "bad-structure"
+
+    def test_dense_step_on_a_large_register_is_a_run_error(self):
+        scenario = parse_scenario(_ghz_scenario(40, [
+            {"op": "imprint", "source": "s", "target": "e1"},
+            {"op": "rotate_basis", "target": "e1"},
+        ]))
+        with pytest.raises(RunError, match="step 2 .*over 40 qubits") as err:
+            run(scenario)
+        assert err.value.step_number == 2
+        assert isinstance(err.value.cause, DenseLimitError)
+
+    def test_initial_state_beyond_the_limit_is_a_run_error(self, monkeypatch):
+        # At the real limit this path first builds a 2^24 dense vector.
+        monkeypatch.setattr(statevec, "DENSE_MAX_QUBITS", 3)
+        doc = {"subsystems": [
+            {"label": f"q{i}", "amplitudes": [[1, 0], [1, 0]]} for i in range(4)
+        ]}
+        with pytest.raises(RunError, match=r"^initial state \(SingleDecl\): .*over 4 qubits") as err:
+            run(parse_scenario(json.dumps(doc)))
+        assert err.value.step_number == 0
+        assert isinstance(err.value.cause, DenseLimitError)
+
+    def test_cli_exit_codes(self, tmp_path, capsys):
+        too_many = tmp_path / "too_many.json"
+        too_many.write_text(_ghz_scenario(64, []))
+        assert main(["run", str(too_many)]) == 1
+        assert "[bad-structure] 64 subsystems" in capsys.readouterr().err
+        too_dense = tmp_path / "too_dense.json"
+        too_dense.write_text(_ghz_scenario(40, [{"op": "branches", "basis": "X"}]))
+        assert main(["run", str(too_dense)]) == 2
+        assert capsys.readouterr().err.startswith("error: step 1 (BranchesStep): a dense")
 
 
 class TestFormatting:

@@ -3,9 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmeasure import statevec
+from qmeasure.gates import apply_single, rotate_basis
 from qmeasure.statevec import (
+    DENSE_MAX_QUBITS,
+    MAX_QUBITS,
     Branch,
     BranchSet,
+    DenseLimitError,
     PureState,
     Register,
     approx_eq,
@@ -73,6 +78,23 @@ class TestPureState:
         assert state.amplitudes[0] == 1.0
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
+
+    def test_attributes_cannot_be_assigned(self):
+        state = basis_state(("a",), "↑")
+        for name in ("register", "amplitudes", "_index"):
+            with pytest.raises(AttributeError):
+                setattr(state, name, None)
+        with pytest.raises(AttributeError):
+            del state.register
+
+    def test_identity_equality_and_repr(self):
+        a, b = basis_state(("a", "b"), "↑↓"), basis_state(("a", "b"), "↑↓")
+        assert a == a and a != b
+        assert len({a, b}) == 2
+        assert repr(a) == "PureState(register=('a', 'b'), dim=4)"
+        assert repr(make_ghz(labels(40), (1, 1))) == (
+            f"PureState(register={labels(40)}, dim={2**40})"
+        )
 
 
 class TestProductState:
@@ -257,3 +279,51 @@ class TestFromBranches:
         reg = Register(("s",))
         bs = BranchSet(reg, ("X",), (Branch("→", 1 + 0j),))
         assert approx_eq(from_branches(bs), product_state(("s",), [(1, 1)]), 1e-12)
+
+
+class TestSizeLimits:
+    """Both limits refuse oversized requests before anything is allocated."""
+
+    def test_register_holds_at_most_max_qubits(self):
+        assert len(Register(labels(MAX_QUBITS))) == MAX_QUBITS
+        with pytest.raises(ValueError, match=f"at most {MAX_QUBITS}"):
+            Register(labels(MAX_QUBITS + 1))
+        with pytest.raises(ValueError, match=f"at most {MAX_QUBITS}"):
+            make_ghz(labels(MAX_QUBITS + 1), (1, 1))
+
+    def test_ghz_at_max_qubits_holds_its_extreme_positions(self):
+        ghz = make_ghz(labels(MAX_QUBITS), (1, 1))
+        assert ghz._index.tolist() == [0, 2**MAX_QUBITS - 1]
+        assert ghz.dim == 2**MAX_QUBITS
+        assert abs(ghz.norm() - 1.0) < 1e-15
+
+    def test_dense_views_of_a_large_sparse_state_are_refused(self):
+        ghz = make_ghz(labels(40), (1, 1))
+        for dense in (
+            lambda: ghz.amplitudes,
+            lambda: rotate_basis(ghz, "q3"),
+            lambda: apply_single(ghz, "q0", np.eye(2)),
+            lambda: branch_decompose(ghz, "X"),
+            lambda: approx_eq(ghz, ghz),
+            lambda: tensor(ghz, product_state(("s",), [(1, 1)])).amplitudes,
+        ):
+            with pytest.raises(DenseLimitError, match="over 4[01] qubits"):
+                dense()
+        assert ghz._dense is None
+
+    def test_dense_builders_check_before_allocating(self):
+        n = DENSE_MAX_QUBITS + 1
+        assert issubclass(DenseLimitError, ValueError)
+        with pytest.raises(DenseLimitError, match=f"over {n} qubits"):
+            product_state(labels(n), [(1, 1)] * n)
+        with pytest.raises(DenseLimitError, match=f"over {n} qubits"):
+            from_branches(BranchSet(Register(labels(n)), ("Z",) * n, (Branch("↑" * n, 1),)))
+
+    def test_dense_product_is_refused_past_the_limit(self, monkeypatch):
+        # Reaching tensor's dense path past the real limit takes a dense
+        # operand of 2^22 amplitudes, so the limit is lowered here instead.
+        monkeypatch.setattr(statevec, "DENSE_MAX_QUBITS", 6)
+        a = product_state(labels(3), [(1, 1)] * 3)
+        b = product_state(("x", "y", "z", "w"), [(1, 1)] * 4)
+        with pytest.raises(DenseLimitError, match="over 7 qubits"):
+            tensor(a, b)

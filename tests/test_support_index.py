@@ -1,16 +1,25 @@
-"""The support index a sparse state carries beside its amplitude vector.
+"""Sparse states: a support index and the amplitudes at it, dense on demand.
 
 Goldens and the shipped scenarios run at n = 5, where no state keeps an
 index, so these tests are what covers the sparse side: every operation on
 an indexed state must give the same bytes, clusters and branches as the
-same operation on an index-free copy.
+same operation on an index-free copy, and the dense vector an indexed state
+builds on first access must be the one the index-free copy holds.
 """
+import json
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmeasure import gates, statevec
 from qmeasure.analysis import find_clusters
+from qmeasure.protocol import ObserverNotReadyError, check_ready
+from qmeasure.runner import run
+from qmeasure.scenario import parse_scenario
 from qmeasure.gates import (
     apply_single,
     imprint,
@@ -91,6 +100,18 @@ def random_gates(gen, labels, count):
     return ops
 
 
+def assert_lazy_amplitudes(state: PureState, plain: PureState) -> None:
+    """An indexed state has not built its dense vector yet; on first access
+    it builds the index-free copy's bytes, read-only, and keeps that array."""
+    if state._index is None:
+        return
+    assert state._dense is None
+    vec = state.amplitudes
+    assert vec.tobytes() == plain.amplitudes.tobytes()
+    assert not vec.flags.writeable
+    assert state.amplitudes is vec
+
+
 def assert_same_views(indexed: PureState, plain: PureState) -> None:
     assert indexed.amplitudes.tobytes() == plain.amplitudes.tobytes()
     for relabel in (False, True):
@@ -111,6 +132,7 @@ def test_indexed_states_match_index_free_copies(seed, sparse):
     assert_same_views(state, plain)
     for kernel, operands in random_gates(gen, list(state.register.labels), int(gen.integers(0, 7))):
         state, plain = kernel(state, *operands), kernel(plain, *operands)
+        assert_lazy_amplitudes(state, plain)
         check_index(state)
         assert plain._index is None
         assert_same_views(state, plain)
@@ -149,14 +171,15 @@ class TestShareEdge:
             vec = np.zeros(2**6, dtype=np.complex128)
             index = np.arange(size, dtype=np.int64)
             vec[index] = 1 / np.sqrt(size)
-            assert (_adopt(reg, vec, index)._index is not None) == kept
+            assert (_adopt(reg, vec[index], index)._index is not None) == kept
 
     def test_norm_is_checked_over_the_index(self):
         reg = Register(tuple(f"q{i}" for i in range(6)))
         vec = np.zeros(2**6, dtype=np.complex128)
         vec[[0, 63]] = 1.0
+        index = np.array([0, 63], dtype=np.int64)
         with pytest.raises(ValueError, match="off unity"):
-            _adopt(reg, vec, np.array([0, 63], dtype=np.int64))
+            _adopt(reg, vec[index], index)
 
 
 class TestIndexDropped:
@@ -180,3 +203,152 @@ class TestIndexDropped:
         assert big._index is None
         assert tensor(big, basis_state(["s"], "↓"))._index is None
         assert tensor(basis_state(["s"], "↓"), big)._index is None
+
+
+def test_concurrent_first_reads_share_one_dense_vector():
+    state = tensor(make_ghz([f"e{i}" for i in range(14)], (0.6, 0.8)), product_state(["s", "o"], [(1, 1), (1, 2)]))
+    assert state._index is not None and state._dense is None
+    start = threading.Barrier(4)
+    seen = [None] * 4
+
+    def read(slot):
+        start.wait(timeout=10)
+        seen[slot] = state.amplitudes
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    want = PureState(state.register, state.amplitudes).amplitudes
+    for vec in seen:
+        assert vec is seen[0]
+        assert np.array_equal(vec, want)
+
+
+def _corrected_z_doc(n, psi, phi, chi):
+    env = [f"e{i}" for i in range(1, n - 1)]
+    return {
+        "subsystems": [
+            {"label": "s", "amplitudes": [[c.real, c.imag] for c in psi]},
+            {"label": "o", "amplitudes": [[c.real, c.imag] for c in phi]},
+            {"ghz": {"labels": env, "coefficients": [[c.real, c.imag] for c in chi]}},
+        ],
+        "script": [
+            {"op": "ledger", "tag": "before"},
+            {"op": "corrected_measure", "signal": "s", "observer": "o",
+             "environment": env, "basis": "Z"},
+            {"op": "ledger", "tag": "after"},
+            {"op": "branches", "basis": "Z"},
+            {"op": "agreement", "basis": "Z", "pairs": [["s", "o"]]},
+        ],
+    }
+
+
+PSI, PHI, CHI = (0.6 + 0.1j, -0.3 + 0.7j), (0.2 - 0.5j, 0.9 + 0j), (0.8j, -0.4 + 0.3j)
+
+
+@pytest.fixture
+def no_dense_builds(monkeypatch):
+    """Fail on any dense vector built from a support index."""
+    def refuse(n, index, values):
+        raise AssertionError(f"dense vector over {n} qubits built")
+    monkeypatch.setattr(statevec, "_scatter", refuse)
+
+
+def test_z_corrected_measurement_stays_sparse(monkeypatch):
+    text = json.dumps(_corrected_z_doc(20, PSI, PHI, CHI))
+    states = []
+    adopt = statevec._adopt
+
+    def recording(*args):
+        states.append(adopt(*args))
+        return states[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(statevec, "_adopt", recording)
+        patch.setattr(gates, "_adopt", recording)
+        sparse = run(parse_scenario(text)).render_text()
+        # the initial state, one state per gate, and the GHZ part; only the
+        # two-qubit s⊗o part is dense
+        full = [s for s in states if s.n_qubits == 20]
+        assert len(full) == 5
+        assert all(s._index is not None and s._dense is None for s in states if s.n_qubits > 2)
+
+        def materialized(*args):
+            state = adopt(*args)
+            state.amplitudes
+            return state
+
+        patch.setattr(statevec, "_adopt", materialized)
+        patch.setattr(gates, "_adopt", materialized)
+        forced = run(parse_scenario(text)).render_text()
+    assert forced == sparse
+    monkeypatch.setattr(statevec, "SPARSE_SHARE", 0.0)
+    assert run(parse_scenario(text)).render_text() == sparse
+
+
+def test_z_corrected_measurement_beyond_dense_memory(no_dense_builds):
+    n = 48
+    report = run(parse_scenario(json.dumps(_corrected_z_doc(n, PSI, PHI, CHI))))
+    sections = {s.title: s.rows for s in report.sections}
+    assert sections["initial state"][1] == ("qubits", "48")
+    for tag in ("step 1: ledger 'before'", "step 3: ledger 'after'"):
+        assert sections[tag][-1] == ("total", str(n - 3))
+    unit = [np.array(p) / np.linalg.norm(p) for p in (PSI, CHI, PHI)]
+    rows = sections["step 4: branches"][1:]
+    assert len(rows) == 8
+    want = [
+        ("↑↓"[i] * 2 + "↑↓"[k] * (n - 3) + "↑↓"[j], unit[0][i] * unit[1][k] * unit[2][j])
+        for i in (0, 1) for k in (0, 1) for j in (0, 1)
+    ]
+    for row, (outcome, amp) in zip(rows, want):
+        assert row[0] == outcome
+        assert abs(float(row[1]) - amp.real) < 1e-11
+        assert abs(float(row[2]) - amp.imag) < 1e-11
+        assert abs(float(row[3]) - abs(amp) ** 2) < 1e-11
+    assert sections["step 5: agreement"][-1] == ("aggregate", "", "1")
+    assert report.sections[-1].rows == (("norm", "1"),)
+
+
+class TestCheckReady:
+    """In Z the ready check reads an indexed state's support; X stays dense."""
+
+    def measured(self, observer_down):
+        ghz = make_ghz([f"e{i}" for i in range(8)], (0.6, 0.8))
+        so = product_state(["s", "o"], [(0.6, 0.8), (0.0, 1.0) if observer_down else (1.0, 0.0)])
+        return tensor(so, ghz)
+
+    def test_ready_indexed_state_stays_sparse(self, no_dense_builds):
+        state = self.measured(observer_down=False)
+        assert state._index is not None
+        check_ready(state, "o", "Z")
+        with pytest.raises(ObserverNotReadyError, match="by 8.000e-01"):
+            check_ready(state, "e3", "Z")
+
+    def test_same_outcome_with_and_without_index(self):
+        for down in (False, True):
+            state = self.measured(down)
+            plain = PureState(state.register, state.amplitudes)
+            for label in ("s", "o", "e0"):
+                errors = []
+                for candidate in (state, plain):
+                    try:
+                        check_ready(candidate, label, "Z")
+                        errors.append(None)
+                    except ObserverNotReadyError as exc:
+                        errors.append(str(exc))
+                assert errors[0] == errors[1]
+                assert (errors[0] is None) == (label == "o" and not down)
+
+    def test_x_basis_still_builds_the_dense_vector(self):
+        state = self.measured(observer_down=False)
+        with pytest.raises(ObserverNotReadyError, match=r"ready state \|→⟩"):
+            check_ready(state, "o", "X")
+        assert state._dense is not None
