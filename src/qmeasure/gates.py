@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevec import PureState, _INV_SQRT2, _adopt
+from .statevec import PureState, _adopt, _rotate_axis
 
 UNITARY_TOL = 1e-9
 
@@ -135,14 +135,7 @@ def rotate_basis(state: PureState, target: str) -> PureState:
     Measuring in Z after this rotation is the same as measuring in X before it.
     """
     pt = state.register.position(target)
-    n = state.n_qubits
-    psi = state.amplitudes.reshape([2] * n)
-    lo = _slice_at(n, {pt: 0})
-    hi = _slice_at(n, {pt: 1})
-    out = np.empty_like(psi)
-    out[lo] = (psi[lo] + psi[hi]) * _INV_SQRT2
-    out[hi] = (psi[lo] - psi[hi]) * _INV_SQRT2
-    return _adopt(state.register, out.reshape(-1))
+    return _adopt(state.register, _rotate_axis(state.amplitudes, pt))
 
 
 def apply_single(state: PureState, target: str, u: np.ndarray) -> PureState:

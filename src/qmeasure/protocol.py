@@ -14,6 +14,12 @@ Three levels of idealization:
 - :func:`ideal_measure` suppresses the environment entirely and assumes a
   pre-corrected observer sitting in the ready state of the chosen basis.
 
+Measuring in X is the Z procedure conjugated by the basis rotation R on
+every operand.  As (R⊗R)·imprint(a→b)·(R⊗R) = imprint(b→a) and swaps commute
+with R⊗R, the X scripts are the Z scripts with each imprint reversed; only
+the corrected measurement's environment check reads the rotated frame.  The
+procedures take the gate executor: the strided kernels or the dense oracle.
+
 The two scenario builders chain ideal measurements in mismatched bases to
 reproduce the loss of observer agreement, with optional redundant records
 that keep the first observer's outcome recoverable.
@@ -21,12 +27,16 @@ that keep the first observer's outcome recoverable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import analysis
 from .gates import GateOp, Imprint, InverseImprint, RotateBasis, Swap, apply_script
 from .statevec import PureState, product_state
+
+#: Runs a gate script on a state: the strided kernels or the dense oracle.
+Executor = Callable[[PureState, Sequence[GateOp]], PureState]
 
 #: Largest admissible deviation of the observer from the ready state
 #: (2-norm of the off-ready component) before an ideal measurement.
@@ -84,33 +94,32 @@ def corrected_script(spec: MeasurementOutcomeSpec) -> list[GateOp]:
     The final swap exchanges the observer with the first environment slot;
     that is the operand choice that leaves the observer holding the signal's
     value and the first slot rejoining the environment's correlated branch.
+    In X each imprint's operands are reversed (see the module docstring).
     """
     env = spec.environment
     e1, e2, e_last = env[0], env[1], env[-1]
-    return [
+    script: list[GateOp] = [
         Swap(spec.observer, e_last),
         InverseImprint(e2, e1),
         Imprint(spec.signal, e1),
         Swap(spec.observer, e1),
     ]
+    if spec.basis == "X":
+        # (R⊗R)·imprint(a→b)·(R⊗R) = imprint(b→a); swaps commute with R⊗R.
+        return [op if isinstance(op, Swap) else type(op)(op.target, op.source) for op in script]
+    return script
 
 
 def ideal_script(signal: str, observer: str, basis: str) -> list[GateOp]:
     if basis == "Z":
         return [Imprint(signal, observer)]
     if basis == "X":
-        return [
-            RotateBasis(signal),
-            RotateBasis(observer),
-            Imprint(signal, observer),
-            RotateBasis(signal),
-            RotateBasis(observer),
-        ]
+        return [Imprint(observer, signal)]
     raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
 
 
 def uncorrected_measure(
-    state: PureState, signal: str, observer: str, environment: str
+    state: PureState, signal: str, observer: str, environment: str, execute: Executor = apply_script
 ) -> PureState:
     """Measure without environmental correction: imprint on e, swap o in.
 
@@ -120,7 +129,7 @@ def uncorrected_measure(
     """
     if len({signal, observer, environment}) != 3:
         raise ValueError("signal, observer and environment must be distinct")
-    return apply_script(state, uncorrected_script(signal, observer, environment))
+    return execute(state, uncorrected_script(signal, observer, environment))
 
 
 def check_environment(
@@ -180,6 +189,7 @@ def corrected_measure(
     state: PureState,
     spec: MeasurementOutcomeSpec,
     tol: float = analysis.DEFAULT_TOL,
+    execute: Executor = apply_script,
 ) -> PureState:
     """Environment-corrected measurement against a GHZ-form environment.
 
@@ -189,23 +199,23 @@ def corrected_measure(
     Needs N ≥ 2: the correction draws on a redundant copy (e2) and a dump
     slot (eN).  For N = 2 those coincide; the same script still runs, but
     the clean factorization above is no longer the generic outcome.
+
+    In X (→/← for ↑/↓) the environment check reads the state with all N+2
+    operands rotated, so an environment entangled with the signal or the
+    observer is named as such; the script, its imprints reversed, runs on
+    the unrotated input.
     """
     if len(spec.environment) < 2:
         raise ValueError(
             "corrected measurement needs at least two environment subsystems "
             "(a redundant copy and a dump slot)"
         )
-    work = state
+    frame = state
     if spec.basis == "X":
-        rotations: list[GateOp] = [
-            RotateBasis(lbl) for lbl in (spec.signal, spec.observer, *spec.environment)
-        ]
-        work = apply_script(work, rotations)
-        check_environment(work, spec, tol)
-        work = apply_script(work, corrected_script(spec))
-        return apply_script(work, rotations)
-    check_environment(work, spec, tol)
-    return apply_script(work, corrected_script(spec))
+        operands = (spec.signal, spec.observer, *spec.environment)
+        frame = execute(state, [RotateBasis(lbl) for lbl in operands])
+    check_environment(frame, spec, tol)
+    return execute(state, corrected_script(spec))
 
 
 def check_ready(state: PureState, observer: str, basis: str) -> None:
@@ -236,18 +246,20 @@ def check_ready(state: PureState, observer: str, basis: str) -> None:
         )
 
 
-def ideal_measure(state: PureState, signal: str, observer: str, basis: str) -> PureState:
+def ideal_measure(
+    state: PureState, signal: str, observer: str, basis: str, execute: Executor = apply_script
+) -> PureState:
     """Environment-suppressed measurement by a pre-corrected observer.
 
-    In Z this is a plain imprint; in X the imprint is conjugated into the
-    →/← basis.  The observer must already be in the ready state of the
-    chosen basis (tolerance ``READY_TOL``), which is what the corrected
-    procedure leaves behind.
+    In Z this is an imprint of the signal on the observer; in X that imprint
+    conjugated into the →/← basis, which is the reversed imprint.  The
+    observer must already be in the ready state of the chosen basis
+    (tolerance ``READY_TOL``), which is what the corrected procedure leaves.
     """
     if signal == observer:
         raise ValueError("signal and observer must be distinct")
     check_ready(state, observer, basis)
-    return apply_script(state, ideal_script(signal, observer, basis))
+    return execute(state, ideal_script(signal, observer, basis))
 
 
 def _scenario_register(record_count: int) -> tuple[str, ...]:

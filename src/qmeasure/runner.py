@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from . import analysis, protocol
-from .gates import GateOp, RotateBasis, apply_gate
+from .gates import GateOp, apply_script
 from .oracle import oracle_apply
 from .scenario import (
     AgreementStep,
@@ -103,13 +103,13 @@ def fmt(value: float) -> str:
 def _initial_state(scenario: Scenario) -> PureState:
     state: PureState | None = None
     for decl in scenario.declarations:
-        if isinstance(decl, SingleDecl):
-            part = product_state((decl.label,), [decl.amplitudes])
-        elif isinstance(decl, GhzDecl):
-            part = make_ghz(decl.labels, decl.coefficients)
-        else:
-            raise TypeError(f"unknown declaration {decl!r}")
         try:
+            if isinstance(decl, SingleDecl):
+                part = product_state((decl.label,), [decl.amplitudes])
+            elif isinstance(decl, GhzDecl):
+                part = make_ghz(decl.labels, decl.coefficients)
+            else:
+                raise TypeError(f"unknown declaration {decl!r}")
             state = part if state is None else tensor(state, part)
         except ValueError as exc:
             raise RunError(0, decl, exc) from exc
@@ -135,14 +135,14 @@ def _branch_section(title: str, branches: BranchSet) -> Section:
     return Section(title, tuple(rows))
 
 
-def _ledger_section(title: str, entry: analysis.LedgerEntry) -> Section:
+def _ledger_section(title: str, entry: analysis.LedgerEntry, tol: float) -> Section:
     rows = [("cluster", "measure")]
     for cluster in entry.decomposition.clusters:
         shown = [
             member + ("~" if flip else "")
             for member, flip in zip(cluster.members, cluster.flips)
         ]
-        rows.append((" ".join(shown), str(analysis.cluster_measure(cluster))))
+        rows.append((" ".join(shown), str(analysis.cluster_measure(cluster, tol))))
     rows.append(("total", str(entry.total)))
     return Section(title, tuple(rows))
 
@@ -171,20 +171,14 @@ def run(scenario: Scenario, engine: str = "gates") -> Report:
 
     ``engine`` selects how gate scripts are executed: "gates" uses the
     strided kernels, "oracle" routes every unitary through the dense-matrix
-    path (same validation, same report shape) for cross-checking.
+    path (same validation, same report shape) for cross-checking.  Both run
+    the same protocol procedures; only the executor differs.
     """
     if engine not in ("gates", "oracle"):
         raise ValueError(f"engine must be 'gates' or 'oracle', got {engine!r}")
     state = _initial_state(scenario)
     tol = scenario.options.tolerance
-
-    def execute(current: PureState, script: list[GateOp]) -> PureState:
-        if engine == "oracle":
-            return oracle_apply(current, script)
-        out = current
-        for op in script:
-            out = apply_gate(out, op)
-        return out
+    execute = oracle_apply if engine == "oracle" else apply_script
 
     sections = [
         Section(
@@ -204,27 +198,15 @@ def run(scenario: Scenario, engine: str = "gates") -> Report:
             if isinstance(step, GateOp):
                 state = execute(state, [step])
             elif isinstance(step, UncorrectedStep):
-                state = execute(
-                    state,
-                    protocol.uncorrected_script(step.signal, step.observer, step.environment),
+                state = protocol.uncorrected_measure(
+                    state, step.signal, step.observer, step.environment, execute
                 )
             elif isinstance(step, CorrectedStep):
-                if engine == "oracle":
-                    spec = step.spec
-                    rotations: list[GateOp] = (
-                        [RotateBasis(lbl) for lbl in (spec.signal, spec.observer, *spec.environment)]
-                        if spec.basis == "X"
-                        else []
-                    )
-                    state = execute(state, rotations)
-                    protocol.check_environment(state, spec, tol)
-                    state = execute(state, protocol.corrected_script(spec))
-                    state = execute(state, rotations)
-                else:
-                    state = protocol.corrected_measure(state, step.spec, tol)
+                state = protocol.corrected_measure(state, step.spec, tol, execute)
             elif isinstance(step, IdealStep):
-                protocol.check_ready(state, step.observer, step.basis)
-                state = execute(state, protocol.ideal_script(step.signal, step.observer, step.basis))
+                state = protocol.ideal_measure(
+                    state, step.signal, step.observer, step.basis, execute
+                )
             elif isinstance(step, BranchesStep):
                 branches = branch_decompose(state, _basis_for(step.basis, state))
                 sections.append(_branch_section(f"step {number}: branches", branches))
@@ -233,7 +215,7 @@ def run(scenario: Scenario, engine: str = "gates") -> Report:
                     ledger, state, step.tag, tol, scenario.options.relabel
                 )
                 sections.append(
-                    _ledger_section(f"step {number}: ledger '{step.tag}'", ledger.entries[-1])
+                    _ledger_section(f"step {number}: ledger '{step.tag}'", ledger.entries[-1], tol)
                 )
             elif isinstance(step, AgreementStep):
                 branches = branch_decompose(state, _basis_for(step.basis, state))

@@ -34,7 +34,7 @@ the error codes in :data:`ERROR_CODES`.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -152,7 +152,9 @@ def _amplitude_pair(raw: Any, what: str, allow_zero: bool = False) -> tuple[comp
     values = []
     for pair in raw:
         for part in pair:
-            if not isinstance(part, (int, float)) or isinstance(part, bool) or not math.isfinite(part):
+            # NaN fails the range test; a 400-digit integer compares exactly.
+            finite = isinstance(part, (int, float)) and abs(part) <= sys.float_info.max
+            if not finite or isinstance(part, bool):
                 raise ScenarioError("bad-amplitude", f"{what}: non-finite or non-numeric entry {part!r}")
         values.append(complex(pair[0], pair[1]))
     if not allow_zero and all(v == 0 for v in values):
@@ -368,6 +370,10 @@ def parse_scenario(text: str) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError("syntax", exc.msg, exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise ScenarioError("syntax", "document nested too deeply") from None
+    except ValueError as exc:  # an integer literal beyond Python's digit limit
+        raise ScenarioError("syntax", str(exc)) from None
     if not isinstance(doc, dict):
         raise ScenarioError("bad-structure", "scenario must be a JSON object")
     _require(doc, ("subsystems",), "scenario", optional=("script", "options"))

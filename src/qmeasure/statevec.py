@@ -15,7 +15,7 @@ Conventions used throughout the package:
 - A register has at most ``MAX_QUBITS`` subsystems, so that every amplitude
   position fits an int64.
 - Constructors that accept user coefficients normalize them; everything else
-  validates that the squared 2-norm is 1 within ``NORM_TOL`` and refuses
+  validates that the 2-norm is 1 within ``NORM_TOL`` and refuses
   states that drifted further than that.
 
 Sparse states hold only their support.  A state built by
@@ -315,13 +315,16 @@ def normalize_basis(basis: BasisChoice, register: Register) -> tuple[str, ...]:
 
 
 def _normalized_pair(pair: Sequence[complex], what: str) -> np.ndarray:
-    vec = np.array([pair[0], pair[1]], dtype=np.complex128)
-    if not np.all(np.isfinite(vec.view(np.float64))):
+    # Scaling by the power of two of the largest part first is exact, and it
+    # keeps the norm of pairs like (1e308, 1e308) or (1e-320, 1e-320) finite.
+    parts = np.array([pair[0], pair[1]], dtype=np.complex128).view(np.float64)
+    if not np.all(np.isfinite(parts)):
         raise ValueError(f"{what} must be finite")
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
+    peak = np.max(np.abs(parts))
+    if peak == 0.0:
         raise ValueError(f"{what} must not be all zero")
-    return vec / norm
+    vec = np.ldexp(parts, -np.frexp(peak)[1]).view(np.complex128)
+    return vec / np.linalg.norm(vec)
 
 
 def product_state(
@@ -428,14 +431,15 @@ def approx_eq(
     return bool(np.max(np.abs(a.amplitudes - bv)) <= tol)
 
 
-def _rotate_axis(arr: np.ndarray, n: int, pos: int) -> np.ndarray:
-    """Apply the self-inverse ↑/↓ ↔ →/← change of basis on one tensor axis."""
-    psi = arr.reshape([2] * n)
-    moved = np.moveaxis(psi, pos, 0)
-    out = np.empty_like(moved)
-    out[0] = (moved[0] + moved[1]) * _INV_SQRT2
-    out[1] = (moved[0] - moved[1]) * _INV_SQRT2
-    return np.moveaxis(out, 0, pos).reshape(-1)
+def _rotate_axis(arr: np.ndarray, pos: int) -> np.ndarray:
+    """Apply the self-inverse ↑/↓ ↔ →/← change of basis on one tensor axis:
+    (lo ± hi)/√2 over the vector viewed as (2^pos, 2, rest)."""
+    psi = arr.reshape(2**pos, 2, -1)
+    lo, hi = psi[:, 0], psi[:, 1]
+    out = np.empty_like(psi)
+    out[:, 0] = (lo + hi) * _INV_SQRT2
+    out[:, 1] = (lo - hi) * _INV_SQRT2
+    return out.reshape(-1)
 
 
 def _outcome_string(index: int, selectors: tuple[str, ...]) -> str:
@@ -454,7 +458,6 @@ def branch_decompose(state: PureState, basis: BasisChoice) -> BranchSet:
     with |amplitude| above ``PRUNE_TOL`` are listed in sorted order.
     """
     selectors = normalize_basis(basis, state.register)
-    n = state.n_qubits
     if "X" not in selectors and state._index is not None:
         live = np.abs(state._values) > PRUNE_TOL
         keep, amps = state._index[live], state._values[live]
@@ -462,7 +465,7 @@ def branch_decompose(state: PureState, basis: BasisChoice) -> BranchSet:
         vec = state.amplitudes
         for pos, sel in enumerate(selectors):
             if sel == "X":
-                vec = _rotate_axis(vec, n, pos)
+                vec = _rotate_axis(vec, pos)
         keep = np.flatnonzero(np.abs(vec) > PRUNE_TOL)
         amps = vec[keep]
     branches = tuple(
@@ -485,5 +488,5 @@ def from_branches(branch_set: BranchSet) -> PureState:
         vec[index] = branch.amplitude
     for pos, sel in enumerate(branch_set.basis):
         if sel == "X":
-            vec = _rotate_axis(vec, n, pos)
+            vec = _rotate_axis(vec, pos)
     return PureState(reg, vec)

@@ -28,3 +28,19 @@ def random_state(rng: np.random.Generator, labels: tuple[str, ...]) -> PureState
 
 def labels(n: int) -> tuple[str, ...]:
     return tuple(f"q{i}" for i in range(n))
+
+
+def _single(amplitudes: str) -> str:
+    return (
+        '{"subsystems": [{"label": "s", "amplitudes": ' + amplitudes + "}],"
+        ' "script": [{"op": "branches", "basis": "X"}]}'
+    )
+
+
+#: Documents that once escaped as tracebacks instead of a report or a coded error.
+HOSTILE_INPUTS = {
+    "400-digit integer": _single("[[1" + "0" * 399 + ", 0], [0, 0]]"),
+    "100000 nested lists": '{"subsystems": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    "norm overflows": _single("[[1e308, 0], [1e308, 0]]"),
+    "norm underflows": _single("[[1e-320, 0], [1e-320, 0]]"),
+}

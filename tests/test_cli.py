@@ -13,6 +13,8 @@ from qmeasure.runner import RunError, fmt, run
 from qmeasure.scenario import ScenarioError, parse_scenario
 from qmeasure.statevec import DenseLimitError
 
+from conftest import HOSTILE_INPUTS
+
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -51,6 +53,14 @@ class TestParseScenario:
         assert err.value.code == "syntax"
         assert err.value.line == 1 and err.value.col is not None
 
+    def test_syntax_code_beyond_the_json_limits(self):
+        # nesting past the recursion limit; an integer past Python's 4300 digits
+        long_integer = MINIMAL.replace("[1, 0]", "[1" + "0" * 5000 + ", 0]")
+        for text in (HOSTILE_INPUTS["100000 nested lists"], long_integer):
+            with pytest.raises(ScenarioError) as err:
+                parse_scenario(text)
+            assert err.value.code == "syntax"
+
     def test_unknown_label_code(self):
         doc = json.loads(FIG1)
         doc["script"][0]["target"] = "nope"
@@ -65,7 +75,13 @@ class TestParseScenario:
         assert err.value.code == "duplicate-label"
 
     def test_bad_amplitude_code(self):
-        for amps in ([[0, 0], [0, 0]], [[1, 0]], [["x", 0], [0, 0]], [[1, 0], [0, None]]):
+        for amps in (
+            [[0, 0], [0, 0]],
+            [[1, 0]],
+            [["x", 0], [0, 0]],
+            [[1, 0], [0, None]],
+            [[10**400, 0], [0, 0]],
+        ):
             doc = {"subsystems": [{"label": "s", "amplitudes": amps}]}
             with pytest.raises(ScenarioError) as err:
                 parse_scenario(json.dumps(doc))
@@ -213,6 +229,20 @@ class TestRunner:
         report = run(parse_scenario((SCENARIOS / "corrected_n3.json").read_text()))
         ledgers = [s for s in report.sections if "ledger" in s.title]
         assert [s.rows[-1] for s in ledgers] == [("total", "2"), ("total", "2")]
+
+    @pytest.mark.parametrize("tolerance, total", [(1e-9, "0"), (1e-11, "2")])
+    def test_ledger_rows_use_the_scenario_tolerance(self, tolerance, total):
+        # a 1e-10 GHZ coefficient is live only under the finer tolerance
+        doc = {
+            "subsystems": [
+                {"ghz": {"labels": ["e1", "e2", "e3"], "coefficients": [[1, 0], [1e-10, 0]]}}
+            ],
+            "script": [{"op": "ledger", "tag": "t"}],
+            "options": {"tolerance": tolerance},
+        }
+        rows = run(parse_scenario(json.dumps(doc))).sections[1].rows
+        assert rows[-1] == ("total", total)
+        assert sum(int(measure) for _, measure in rows[1:-1]) == int(total)
 
     def test_rotated_basis_corrected_step_on_both_engines(self):
         # environment prepared as an X-basis correlated resource
@@ -367,6 +397,14 @@ class TestCliProcess:
         result = self.run_cli("run", str(path))
         assert result.returncode == 2
         assert "step 1" in result.stderr
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_INPUTS))
+    def test_hostile_input_ends_coded(self, tmp_path, name):
+        path = tmp_path / "hostile.json"
+        path.write_text(HOSTILE_INPUTS[name])
+        result = self.run_cli("run", str(path))
+        assert "Traceback" not in result.stderr
+        assert result.returncode == 1 or (result.returncode == 0 and "== step 1" in result.stdout)
 
     def test_oracle_subcommand_matches_run(self):
         fast = self.run_cli("run", str(SCENARIOS / "record_recovery.json"))

@@ -8,8 +8,8 @@ from qmeasure.analysis import (
     find_clusters,
     ledger_record,
 )
-from qmeasure.gates import RotateBasis, apply_script
-from qmeasure.oracle import oracle_apply
+from qmeasure.gates import Imprint, RotateBasis, apply_script
+from qmeasure.oracle import gate_matrix, oracle_apply
 from qmeasure.protocol import (
     EnvironmentNotGHZError,
     MeasurementOutcomeSpec,
@@ -256,6 +256,78 @@ class TestCorrectedMeasure:
         assert set(decomposition.residual) == {"s", "o", "e1", "e2"}
         with pytest.raises(NotClusterNormalError):
             ledger_record(CorrelationLedger(), out, "after")
+
+
+def script_matrix(script, register):
+    """Dense matrix of a gate script: the last gate's matrix on the left."""
+    total = np.eye(2 ** len(register), dtype=np.complex128)
+    for op in script:
+        total = gate_matrix(op, register) @ total
+    return total
+
+
+def rotated(script, operands):
+    """Reference X form of a Z script: conjugated by the basis rotation on
+    every operand (the form the X procedures ran before the identity)."""
+    rotations = [RotateBasis(lbl) for lbl in operands]
+    return rotations + list(script) + rotations
+
+
+class TestXBasisIdentity:
+    """(R⊗R)·imprint(a→b)·(R⊗R) = imprint(b→a): the X scripts are the Z
+    scripts with each imprint reversed, checked against the rotated form."""
+
+    def test_ideal_x_script_is_the_reversed_imprint(self):
+        reg = Register(("s", "x", "o"))
+        assert ideal_script("s", "o", "X") == [Imprint("o", "s")]
+        reference = rotated(ideal_script("s", "o", "Z"), ("s", "o"))
+        assert np.allclose(
+            script_matrix(ideal_script("s", "o", "X"), reg),
+            script_matrix(reference, reg),
+            rtol=0.0,
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("n_env", [2, 3, 4, 5])
+    def test_corrected_x_script_is_the_rotated_z_script(self, n_env):
+        env = env_labels(n_env)
+        reg = Register(("s", "o", *env))
+        z_script = corrected_script(MeasurementOutcomeSpec("s", "o", env))
+        x_script = corrected_script(MeasurementOutcomeSpec("s", "o", env, basis="X"))
+        assert not any(isinstance(op, RotateBasis) for op in x_script)
+        assert np.allclose(
+            script_matrix(x_script, reg),
+            script_matrix(rotated(z_script, reg.labels), reg),
+            rtol=0.0,
+            atol=1e-12,
+        )
+
+    def test_x_check_reads_all_operands_and_the_script_runs_unrotated(self, rng):
+        z_state, _ = corrected_setup(random_pair(rng), random_pair(rng), random_pair(rng, 0.1), 3)
+        frame = [RotateBasis(lbl) for lbl in ("s", "o", *env_labels(3))]
+        spec = MeasurementOutcomeSpec("s", "o", env_labels(3), basis="X")
+        scripts = []
+
+        def recording(current, script):
+            scripts.append(list(script))
+            return apply_script(current, script)
+
+        corrected_measure(apply_script(z_state, frame), spec, execute=recording)
+        assert scripts == [frame, corrected_script(spec)]
+
+    def test_x_rejection_names_the_entangled_signal(self, rng):
+        # an X-frame GHZ over (s, e1, e2): the all-operand check frame sees
+        # the signal in the environment's cluster
+        ghz = apply_script(
+            make_ghz(("s", "e1", "e2"), random_pair(rng, 0.1)),
+            [RotateBasis(lbl) for lbl in ("s", "e1", "e2")],
+        )
+        state = tensor(ghz, product_state(("o", "e3"), [random_pair(rng), (1, 0)]))
+        spec = MeasurementOutcomeSpec("s", "o", ("e1", "e2", "e3"), basis="X")
+        with pytest.raises(
+            EnvironmentNotGHZError, match=r"entangled with outside subsystems \['s'\]"
+        ):
+            corrected_measure(state, spec)
 
 
 class TestIdealMeasure:
