@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevec import BranchSet, PureState, Register, _check_dense
+from .statevec import BranchSet, PureState, Register, _check_dense, _frame_view
 
 #: Default detection tolerance.  Two roles: the support cutoff on
 #: |amplitude|, and the relative 2-norm reconstruction error accepted per
@@ -119,9 +119,11 @@ def _support(state: PureState, cutoff: float) -> tuple[np.ndarray, np.ndarray, f
     """Support columns (index, amplitude) above the cutoff, and the 2-norm of
     the rest relative to theirs.
 
-    Reads only the amplitudes at the state's support index when it has one.
+    Reads the Z-frame amplitudes, clearing the state's basis flags on its
+    support index while that stays sparse, and only the amplitudes at the
+    index when there is one.
     """
-    index, values = state._index, state._values
+    index, values = _frame_view(state, 0)
     mag = np.abs(values)
     idx = np.flatnonzero(mag > cutoff)
     if idx.size == 0:

@@ -2,12 +2,25 @@
 
 The named gates are the record-copying imprint (a CNOT whose control fires
 on ↓), its inverse, the subsystem swap, and the self-inverse ↑/↓ ↔ →/←
-basis rotation.  Kernels work by strided slicing of the amplitude array
-(the stride is fixed by the operand's register position), never by building
-2^n x 2^n matrices, so a gate costs O(2^n) time and memory.  On a state that
-holds only its support index (see :mod:`qmeasure.statevec`) the permutation
-gates move only the indexed amplitudes: they permute the index bits and
-reorder the amplitudes, and no dense vector is built.
+basis rotation.  All four are Clifford gates, so they act on a state
+H^frame · φ (see :mod:`qmeasure.statevec`) through its basis flags and its
+stored amplitudes φ:
+
+- the rotation flips its qubit's flag and touches no amplitude;
+- the swap exchanges the two qubits' bits in φ and their flags;
+- the imprint is a permutation of φ when neither operand is flagged, the
+  same permutation with the operands reversed when both are, since
+  (H⊗H)·imprint(a→b)·(H⊗H) = imprint(b→a), and a sign flip on the
+  amplitudes with both bits set when only the target is, since
+  H_t·imprint·H_t is the controlled Z; a flagged control over an unflagged
+  target has its flag cleared first, which at most doubles the support.
+
+Kernels work on the support index when φ has one, moving only the indexed
+amplitudes, and otherwise by strided slicing of the dense vector (the
+stride is fixed by the operand's register position), never by building
+2^n x 2^n matrices, so a gate costs O(2^n) time and memory at most.  The
+arbitrary single-qubit unitary of :func:`apply_single` is not a Clifford
+gate; it reads the dense Z-frame vector.
 """
 from __future__ import annotations
 
@@ -16,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevec import PureState, _adopt, _rotate_axis
+from .statevec import PureState, _adopt, _framed, _rotated
 
 UNITARY_TOL = 1e-9
 
@@ -81,10 +94,27 @@ def _pair_positions(state: PureState, a: str, b: str) -> tuple[int, int, int]:
     return reg.position(a), reg.position(b), len(reg)
 
 
-def _moved(state: PureState, to: np.ndarray) -> PureState:
+def _moved(state: PureState, to: np.ndarray, frame: int) -> PureState:
     """The state whose amplitudes at its support index move to ``to``."""
     order = np.argsort(to)
-    return _adopt(state.register, state._values[order], to[order])
+    return _adopt(state.register, state._values[order], to[order], frame)
+
+
+def _controlled_z(state: PureState, pa: int, pb: int) -> PureState:
+    """Negate the stored amplitudes whose bits at ``pa`` and ``pb`` are both set.
+
+    As 0 − x rather than −x, so that zeros stay +0 whether or not the
+    support index lists them.
+    """
+    n, index = state.n_qubits, state._index
+    values = state._values.copy()
+    if index is None:
+        psi, both = values.reshape([2] * n), _slice_at(n, {pa: 1, pb: 1})
+        psi[both] = 0.0 - psi[both]
+    else:
+        both = ((index >> (n - 1 - pa)) & (index >> (n - 1 - pb)) & 1).astype(bool)
+        values[both] = 0.0 - values[both]
+    return _adopt(state.register, values, index, state._frame)
 
 
 def imprint(state: PureState, source: str, target: str) -> PureState:
@@ -95,11 +125,20 @@ def imprint(state: PureState, source: str, target: str) -> PureState:
     if source == target:
         raise ValueError(f"imprint needs two distinct operands, got {source!r} twice")
     ps, pt, n = _pair_positions(state, source, target)
+    flagged = [(state._frame >> (n - 1 - p)) & 1 for p in (ps, pt)]
+    if flagged == [1, 0]:  # clear the control's flag, then permute
+        bit = 1 << (n - 1 - ps)
+        index, values = _rotated(n, state._index, state._values, bit)
+        state = _adopt(state.register, values, index, state._frame ^ bit)
+    elif flagged == [0, 1]:  # H_t·imprint·H_t = CZ
+        return _controlled_z(state, ps, pt)
+    elif flagged == [1, 1]:  # (H⊗H)·imprint(a→b)·(H⊗H) = imprint(b→a)
+        ps, pt = pt, ps
     index = state._index
     if index is not None:
         fired = (index >> (n - 1 - ps)) & 1
-        return _moved(state, index ^ (fired << (n - 1 - pt)))
-    psi = state.amplitudes.reshape([2] * n)
+        return _moved(state, index ^ (fired << (n - 1 - pt)), state._frame)
+    psi = state._values.reshape([2] * n)
     out = np.empty_like(psi)
     keep = _slice_at(n, {ps: 0})
     out[keep] = psi[keep]
@@ -107,7 +146,7 @@ def imprint(state: PureState, source: str, target: str) -> PureState:
     hi = _slice_at(n, {ps: 1, pt: 1})
     out[lo] = psi[hi]
     out[hi] = psi[lo]
-    return _adopt(state.register, out.reshape(-1))
+    return _adopt(state.register, out.reshape(-1), None, state._frame)
 
 
 def inverse_imprint(state: PureState, source: str, target: str) -> PureState:
@@ -120,22 +159,26 @@ def swap(state: PureState, a: str, b: str) -> PureState:
     if a == b:
         raise ValueError(f"swap needs two distinct operands, got {a!r} twice")
     pa, pb, n = _pair_positions(state, a, b)
+    sa, sb = n - 1 - pa, n - 1 - pb
+    frame = state._frame
+    if ((frame >> sa) ^ (frame >> sb)) & 1:
+        frame ^= (1 << sa) | (1 << sb)
     index = state._index
     if index is not None:
-        sa, sb = n - 1 - pa, n - 1 - pb
         differ = ((index >> sa) ^ (index >> sb)) & 1
-        return _moved(state, index ^ ((differ << sa) | (differ << sb)))
-    psi = state.amplitudes.reshape([2] * n)
-    return _adopt(state.register, np.swapaxes(psi, pa, pb).reshape(-1))
+        return _moved(state, index ^ ((differ << sa) | (differ << sb)), frame)
+    psi = state._values.reshape([2] * n)
+    return _adopt(state.register, np.swapaxes(psi, pa, pb).reshape(-1), None, frame)
 
 
 def rotate_basis(state: PureState, target: str) -> PureState:
     """Apply the self-inverse map ↑ → (↑+↓)/√2, ↓ → (↑−↓)/√2 on one subsystem.
 
-    Measuring in Z after this rotation is the same as measuring in X before it.
+    Measuring in Z after this rotation is the same as measuring in X before
+    it.  Only the target's basis flag flips; no amplitude is touched.
     """
-    pt = state.register.position(target)
-    return _adopt(state.register, _rotate_axis(state.amplitudes, pt))
+    bit = 1 << (state.n_qubits - 1 - state.register.position(target))
+    return _framed(state.register, state._index, state._values, state._frame ^ bit)
 
 
 def apply_single(state: PureState, target: str, u: np.ndarray) -> PureState:

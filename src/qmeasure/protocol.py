@@ -33,7 +33,7 @@ import numpy as np
 
 from . import analysis
 from .gates import GateOp, Imprint, InverseImprint, RotateBasis, Swap, apply_script
-from .statevec import PureState, product_state
+from .statevec import PureState, _pairs, product_state
 
 #: Runs a gate script on a state: the strided kernels or the dense oracle.
 Executor = Callable[[PureState, Sequence[GateOp]], PureState]
@@ -221,23 +221,29 @@ def corrected_measure(
 def check_ready(state: PureState, observer: str, basis: str) -> None:
     """Raise unless the observer sits in the basis-0 ready state (|↑⟩ or |→⟩).
 
-    In Z, a state holding only its support index is checked on the indexed
-    amplitudes, so it stays sparse.
+    The off-ready norm does not depend on the other qubits' basis flags, so
+    it is read off the stored amplitudes, with the rotation applied on the
+    observer alone when its flag differs from the basis.  A state holding
+    only its support index is checked on the indexed amplitudes and stays
+    sparse.
     """
     pos = state.register.position(observer)
-    n = state.n_qubits
+    shift = state.n_qubits - 1 - pos
     if basis not in ("Z", "X"):
         raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
-    if basis == "Z" and state._index is not None:
-        down = ((state._index >> (n - 1 - pos)) & 1).astype(bool)
-        off = float(np.linalg.norm(state._values[down]))
-    else:
-        psi = np.moveaxis(state.amplitudes.reshape([2] * n), pos, 0)
-        v_up, v_down = psi[0].reshape(-1), psi[1].reshape(-1)
-        if basis == "Z":
-            off = float(np.linalg.norm(v_down))
+    rotate = bool((state._frame >> shift) & 1) != (basis == "X")
+    if state._index is not None:
+        if rotate:
+            _, v_up, v_down = _pairs(state._index, state._values, shift)
         else:
-            off = float(np.linalg.norm(v_up - v_down)) / np.sqrt(2.0)
+            v_down = state._values[((state._index >> shift) & 1).astype(bool)]
+    else:
+        psi = state._values.reshape(2**pos, 2, -1)
+        v_up, v_down = psi[:, 0], psi[:, 1]
+    if rotate:
+        off = float(np.linalg.norm(v_up - v_down)) / np.sqrt(2.0)
+    else:
+        off = float(np.linalg.norm(v_down))
     ready = "↑" if basis == "Z" else "→"
     if off > READY_TOL:
         raise ObserverNotReadyError(

@@ -25,14 +25,24 @@ unique int64 positions, and the amplitudes at them, outside which every
 amplitude is exactly 0.  That pair is the state's source of truth; it is
 kept only while it lists at most 2^n · ``SPARSE_SHARE`` positions, the share
 below which moving the indexed amplitudes beats a strided pass (the
-crossover lies near 1/8 at n = 20).  ``dim``, the norm check, cluster
-detection's support scan, Z-basis branch listing and the Z-basis ready check
-read the indexed amplitudes.  The dense vector is built, on first access to
-:attr:`PureState.amplitudes`, only by the dense kernels that read it (basis
-rotation, arbitrary single-qubit unitaries, the X-basis ready check, X-basis
-branch listing, the dense oracle, :func:`approx_eq`) and is then cached on
-the state.  Those kernels, and the public ``PureState`` constructor, yield
-states without an index.  No dense vector over more than
+crossover lies near 1/8 at n = 20).
+
+Every state also carries a per-qubit basis frame, a bitmask with the bit
+order of the amplitude index: the state is H^frame · φ, where H is the
+↑/↓ ↔ →/← rotation on each flagged qubit and φ is the stored support index
+or dense vector.  A basis rotation flips one flag and touches no amplitude;
+the gates move flags as described in :mod:`qmeasure.gates`.  Branch
+listing and cluster detection clear only the flags that differ from the
+basis they read (cluster detection reads Z), in register-position order,
+with the (lo ± hi)/√2 arithmetic of the dense kernel: on the support index,
+which at most doubles per flag, while it stays within the share, then on
+the dense vector.  The norm check and the ready check read the stored
+amplitudes, the latter with the rotation applied on the observer alone.
+The dense Z-frame vector is built, on first access to
+:attr:`PureState.amplitudes`, only by the dense kernels that read it
+(arbitrary single-qubit unitaries, the dense oracle, :func:`approx_eq`), and
+then cached on the state; views whose cleared support outgrows the share
+build a dense vector of their own.  No dense vector over more than
 ``DENSE_MAX_QUBITS`` qubits is built; asking for one raises
 :class:`DenseLimitError`.
 """
@@ -61,10 +71,12 @@ SPARSE_SHARE = 1 / 16
 MAX_QUBITS = 63
 
 #: Most qubits a dense amplitude vector (16 · 2^n bytes) is built for.  The
-#: dense path's peak is about 6.1 times the vector (an X-basis corrected
-#: measurement rejecting its environment; 6.06x measured by tracemalloc at
-#: n = 18, 20, 22), so 24 qubits peak near 1.5 GiB, under a quarter of an
-#: 8 GiB host; 25 would need 3 GiB.
+#: dense path's peak is about 4.1 times the vector (an X-basis corrected
+#: measurement rejecting its Z-frame environment: 4.06-4.07x measured by
+#: tracemalloc over the whole run at n = 18, 20, 22), so 24 qubits peak near
+#: 1 GiB, an eighth of an 8 GiB host.  The limit bounds vectors, not branch
+#: tables: listing every branch of a dense state holds about 33 times the
+#: vector in Python objects (same runs, a Z listing of the X-frame output).
 DENSE_MAX_QUBITS = 24
 
 UP, DOWN, RIGHT, LEFT = "↑", "↓", "→", "←"
@@ -155,18 +167,18 @@ def as_register(labels: "Register | Iterable[str]") -> Register:
 
 
 def _adopt(
-    register: Register, arr: np.ndarray, index: np.ndarray | None = None
+    register: Register, arr: np.ndarray, index: np.ndarray | None = None, frame: int = 0
 ) -> "PureState":
     """Wrap freshly allocated complex128 data as a state without re-copying.
 
     Internal fast path for gate kernels and state builders.  ``arr`` is the
     dense 2^n vector or, when ``index`` is given, the amplitudes at that
-    support index (see the module docstring); an index beyond
-    ``SPARSE_SHARE`` is scattered into the dense vector and dropped.  The
-    state keeps ``arr`` as its stored values (``_values``); the norm
-    invariant is still enforced over them, but the copy and finiteness scan
-    are skipped because unitary kernels and products of validated states
-    preserve both, and the arrays are owned by the caller.
+    support index (see the module docstring), of φ in the state H^frame · φ;
+    an index beyond ``SPARSE_SHARE`` is scattered into the dense vector and
+    dropped.  The state keeps ``arr`` as its stored values (``_values``);
+    the norm invariant is still enforced over them, but the copy and
+    finiteness scan are skipped because unitary kernels and products of
+    validated states preserve both, and the arrays are owned by the caller.
     """
     if index is not None:
         if index.size > 2 ** len(register) * SPARSE_SHARE:
@@ -177,9 +189,20 @@ def _adopt(
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state norm {norm!r} is off unity by more than {NORM_TOL}")
     arr.setflags(write=False)
+    return _framed(register, index, arr, frame)
+
+
+def _framed(
+    register: Register, index: np.ndarray | None, values: np.ndarray, frame: int
+) -> "PureState":
+    """The state H^frame · φ over read-only stored amplitudes, unchecked."""
     state = object.__new__(PureState)
     state.__dict__.update(
-        register=register, _index=index, _values=arr, _dense=arr if index is None else None
+        register=register,
+        _index=index,
+        _values=values,
+        _frame=frame,
+        _dense=values if index is None and not frame else None,
     )
     return state
 
@@ -209,7 +232,7 @@ class PureState:
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm!r} is off unity by more than {NORM_TOL}")
         arr.setflags(write=False)
-        self.__dict__.update(register=register, _index=None, _values=arr, _dense=arr)
+        self.__dict__.update(register=register, _index=None, _values=arr, _frame=0, _dense=arr)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -219,17 +242,22 @@ class PureState:
 
     @property
     def amplitudes(self) -> np.ndarray:
-        """The read-only dense 2^n amplitude vector.
+        """The read-only dense 2^n amplitude vector in the Z frame.
 
-        A state that holds only its support index builds it on first access
-        and caches it; every later access returns the same array.
+        A state that holds only its support index, or carries basis flags,
+        builds it on first access and caches it; every later access returns
+        the same array.
         """
         dense = self._dense
         if dense is None:
             with _MATERIALIZE:
                 dense = self._dense
                 if dense is None:
-                    dense = _scatter(self.n_qubits, self._index, self._values)
+                    n, index, dense = self.n_qubits, self._index, self._values
+                    if self._frame:
+                        index, dense = _rotated(n, index, dense, self._frame)
+                    if index is not None:
+                        dense = _scatter(n, index, dense)
                     dense.setflags(write=False)
                     self.__dict__["_dense"] = dense
         return dense
@@ -386,20 +414,29 @@ def tensor(a: PureState, b: PureState) -> PureState:
     if overlap:
         raise ValueError(f"registers share labels: {sorted(overlap)}")
     reg = Register(a.register.labels + b.register.labels)
+    frame = (a._frame << b.n_qubits) | b._frame
     limit = 2 ** len(reg) * SPARSE_SHARE
     sa, sb = _known_support(a, limit), _known_support(b, limit)
     if sa is None or sb is None or sa[0].size * sb[0].size > limit:
         _check_dense(len(reg))
-        return _adopt(reg, np.multiply.outer(a.amplitudes, b.amplitudes).reshape(-1))
+        outer = np.multiply.outer(_stored_dense(a), _stored_dense(b))
+        return _adopt(reg, outer.reshape(-1), None, frame)
     (ia, va), (ib, vb) = sa, sb
     index = ((ia << b.n_qubits)[:, None] | ib).reshape(-1)
-    return _adopt(reg, np.multiply.outer(va, vb).reshape(-1), index)
+    return _adopt(reg, np.multiply.outer(va, vb).reshape(-1), index, frame)
+
+
+def _stored_dense(state: PureState) -> np.ndarray:
+    """φ of the state H^frame · φ as a dense vector."""
+    if state._index is None:
+        return state._values
+    return _scatter(state.n_qubits, state._index, state._values)
 
 
 def _known_support(state: PureState, limit: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """The state's support index and the amplitudes at it, or its nonzero
-    positions and amplitudes when it has none but is small enough (at most
-    ``limit`` positions) to scan."""
+    """The support index of the state's stored amplitudes φ and the
+    amplitudes at it, or φ's nonzero positions and amplitudes when it has no
+    index but is small enough (at most ``limit`` positions) to scan."""
     if state._index is not None:
         return state._index, state._values
     if state.dim <= limit:
@@ -431,15 +468,84 @@ def approx_eq(
     return bool(np.max(np.abs(a.amplitudes - bv)) <= tol)
 
 
-def _rotate_axis(arr: np.ndarray, pos: int) -> np.ndarray:
-    """Apply the self-inverse ↑/↓ ↔ →/← change of basis on one tensor axis:
-    (lo ± hi)/√2 over the vector viewed as (2^pos, 2, rest)."""
+def _rotate_axis(arr: np.ndarray, pos: int) -> None:
+    """Apply the self-inverse ↑/↓ ↔ →/← change of basis on one tensor axis,
+    in place: (lo ± hi)/√2 over the vector viewed as (2^pos, 2, rest)."""
     psi = arr.reshape(2**pos, 2, -1)
     lo, hi = psi[:, 0], psi[:, 1]
-    out = np.empty_like(psi)
-    out[:, 0] = (lo + hi) * _INV_SQRT2
-    out[:, 1] = (lo - hi) * _INV_SQRT2
-    return out.reshape(-1)
+    total = lo + hi
+    np.subtract(lo, hi, out=hi)
+    hi *= _INV_SQRT2
+    np.multiply(total, _INV_SQRT2, out=lo)
+
+
+def _pairs(
+    index: np.ndarray, values: np.ndarray, shift: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair up a support index along the bit ``1 << shift``.
+
+    Returns the sorted positions with that bit cleared, and the amplitudes at
+    each of them (lo) and at its partner with the bit set (hi), exact zeros
+    where a position is not indexed.
+    """
+    bit = 1 << shift
+    keys, slot = np.unique(index & ~bit, return_inverse=True)
+    high = (index & bit) != 0
+    lo = np.zeros(keys.size, dtype=np.complex128)
+    hi = np.zeros(keys.size, dtype=np.complex128)
+    lo[slot[~high]] = values[~high]
+    hi[slot[high]] = values[high]
+    return keys, lo, hi
+
+
+def _rotated(
+    n: int, index: np.ndarray | None, values: np.ndarray, mask: int
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Apply the basis rotation on every qubit flagged in ``mask``, in
+    register-position order, to amplitudes held as (index, values), or as
+    the dense vector when ``index`` is None.
+
+    The support index at most doubles per qubit.  It is kept while it lists
+    at most 2^n · ``SPARSE_SHARE`` positions, and never more than that share
+    of 2^``DENSE_MAX_QUBITS``, so that a view a larger register cannot hold
+    fails on the dense limit before its support outgrows memory; beyond that
+    the dense kernel rotates the remaining qubits.  Absent partners enter as
+    exact zeros, as in the dense kernel, so both give the same bits.
+    """
+    limit = 2 ** min(n, DENSE_MAX_QUBITS) * SPARSE_SHARE
+    copied = False
+    for pos in range(n):
+        shift = n - 1 - pos
+        if not (mask >> shift) & 1:
+            continue
+        if index is not None:
+            keys, lo, hi = _pairs(index, values, shift)
+            if 2 * keys.size <= limit:
+                index = np.concatenate((keys, keys | (1 << shift)))
+                values = np.concatenate(((lo + hi) * _INV_SQRT2, (lo - hi) * _INV_SQRT2))
+                order = np.argsort(index, kind="stable")
+                index, values = index[order], values[order]
+                continue
+            index, values, copied = None, _scatter(n, index, values), True
+        elif not copied:
+            values, copied = values.copy(), True
+        _rotate_axis(values, pos)
+    return index, values
+
+
+def _frame_view(state: PureState, frame: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """The amplitudes of H^frame · ψ, as (index, values), or (None, dense).
+
+    With ψ = H^F · φ that is H^(frame ^ F) · φ: only the flags that differ
+    from ``frame`` are cleared.  The Z frame (0) of a dense state is the
+    cached :attr:`PureState.amplitudes`.
+    """
+    flip = state._frame ^ frame
+    if not flip:
+        return state._index, state._values
+    if not frame and (state._index is None or state._dense is not None):
+        return None, state.amplitudes
+    return _rotated(state.n_qubits, state._index, state._values, flip)
 
 
 def _outcome_string(index: int, selectors: tuple[str, ...]) -> str:
@@ -454,20 +560,21 @@ def _outcome_string(index: int, selectors: tuple[str, ...]) -> str:
 def branch_decompose(state: PureState, basis: BasisChoice) -> BranchSet:
     """Decompose a state into product-basis branches under a per-subsystem basis choice.
 
-    X-selected subsystems are rotated into the →/← frame first; all outcomes
-    with |amplitude| above ``PRUNE_TOL`` are listed in sorted order.
+    X-selected subsystems are read in the →/← frame, Z-selected ones in the
+    ↑/↓ frame (only the basis flags that differ from the selectors are
+    cleared); all outcomes with |amplitude| above ``PRUNE_TOL`` are listed
+    in sorted order.
     """
     selectors = normalize_basis(basis, state.register)
-    if "X" not in selectors and state._index is not None:
-        live = np.abs(state._values) > PRUNE_TOL
-        keep, amps = state._index[live], state._values[live]
+    n = len(selectors)
+    frame = sum(1 << (n - 1 - p) for p, sel in enumerate(selectors) if sel == "X")
+    index, values = _frame_view(state, frame)
+    if index is None:
+        keep = np.flatnonzero(np.abs(values) > PRUNE_TOL)
+        amps = values[keep]
     else:
-        vec = state.amplitudes
-        for pos, sel in enumerate(selectors):
-            if sel == "X":
-                vec = _rotate_axis(vec, pos)
-        keep = np.flatnonzero(np.abs(vec) > PRUNE_TOL)
-        amps = vec[keep]
+        live = np.abs(values) > PRUNE_TOL
+        keep, amps = index[live], values[live]
     branches = tuple(
         Branch(_outcome_string(int(i), selectors), complex(a)) for i, a in zip(keep, amps)
     )
@@ -488,5 +595,5 @@ def from_branches(branch_set: BranchSet) -> PureState:
         vec[index] = branch.amplitude
     for pos, sel in enumerate(branch_set.basis):
         if sel == "X":
-            vec = _rotate_axis(vec, pos)
+            _rotate_axis(vec, pos)
     return PureState(reg, vec)

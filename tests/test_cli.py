@@ -5,10 +5,14 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmeasure import statevec
+from qmeasure import runner, statevec
 from qmeasure.cli import main
+from qmeasure.gates import Imprint, InverseImprint, RotateBasis, Swap, invert_script
 from qmeasure.runner import RunError, fmt, run
 from qmeasure.scenario import ScenarioError, parse_scenario
 from qmeasure.statevec import DenseLimitError
@@ -295,13 +299,15 @@ class TestSizeLimits:
         assert err.value.code == "bad-structure"
 
     def test_dense_step_on_a_large_register_is_a_run_error(self):
+        # the rotation only flags e1; the X view of the 40-qubit GHZ is dense
         scenario = parse_scenario(_ghz_scenario(40, [
             {"op": "imprint", "source": "s", "target": "e1"},
             {"op": "rotate_basis", "target": "e1"},
+            {"op": "branches", "basis": "X"},
         ]))
-        with pytest.raises(RunError, match="step 2 .*over 40 qubits") as err:
+        with pytest.raises(RunError, match="step 3 .*over 40 qubits") as err:
             run(scenario)
-        assert err.value.step_number == 2
+        assert err.value.step_number == 3
         assert isinstance(err.value.cause, DenseLimitError)
 
     def test_initial_state_beyond_the_limit_is_a_run_error(self, monkeypatch):
@@ -324,6 +330,145 @@ class TestSizeLimits:
         too_dense.write_text(_ghz_scenario(40, [{"op": "branches", "basis": "X"}]))
         assert main(["run", str(too_dense)]) == 2
         assert capsys.readouterr().err.startswith("error: step 1 (BranchesStep): a dense")
+
+
+PSI, PHI, CHI = [[0.6, 0.1], [-0.3, 0.7]], [[0.2, -0.5], [0.9, 0]], [[0, 0.8], [-0.4, 0.3]]
+RIGHT = [[1, 0], [1, 0]]
+IDEAL_X = [
+    {"op": "ideal_measure", "signal": "s", "observer": "o", "basis": "X"},
+    {"op": "branches", "basis": {"s": "X", "o": "X"}},
+    {"op": "agreement", "basis": {"s": "X", "o": "X"}, "pairs": [["s", "o"]]},
+]
+
+
+def _x_scenario(n: int, psi, phi, script: list) -> str:
+    """s and o next to an (n − 2)-qubit GHZ environment e1…e(n−2)."""
+    return json.dumps({
+        "subsystems": [
+            {"label": "s", "amplitudes": psi},
+            {"label": "o", "amplitudes": phi},
+            {"ghz": {"labels": [f"e{i}" for i in range(1, n - 1)], "coefficients": CHI}},
+        ],
+        "script": script,
+    })
+
+
+def _collapsed(report) -> list:
+    """Sections after the initial state, with each outcome's environment
+    symbols (all equal on a GHZ branch) folded into one."""
+    sections = []
+    for section in report.sections[1:]:
+        rows = []
+        for row in section.rows:
+            outcome = row[0]
+            if len(outcome) > 2 and set(outcome) <= set("↑↓→←"):
+                assert len(set(outcome[2:])) == 1, outcome
+                outcome = outcome[:3]
+            rows.append((outcome, *row[1:]))
+        sections.append((section.title, rows))
+    return sections
+
+
+def _same_up_to_rounding(ours: list, theirs: list) -> bool:
+    for (title, rows), (other_title, other_rows) in zip(ours, theirs, strict=True):
+        assert title == other_title and len(rows) == len(other_rows), title
+        for row, other in zip(rows, other_rows, strict=True):
+            for a, b in zip(row, other, strict=True):
+                if a != b:
+                    assert abs(float(a) - float(b)) <= 1e-12, (title, row, other)
+    return True
+
+
+class TestXAtSize:
+    """X measurements on sparse states past the dense limit run sparse."""
+
+    @pytest.mark.parametrize("psi", [RIGHT, PSI], ids=["s-right", "s-generic"])
+    def test_ideal_x_at_30_qubits_matches_the_dense_path(self, psi):
+        big = run(parse_scenario(_x_scenario(30, psi, RIGHT, IDEAL_X)))
+        assert big.sections[0].rows[1] == ("qubits", "30")
+        twin = run(parse_scenario(_x_scenario(12, psi, RIGHT, IDEAL_X)), engine="oracle")
+        assert _same_up_to_rounding(_collapsed(big), _collapsed(twin))
+        assert big.sections[-2].rows[-1] == ("aggregate", "", "1")
+
+    def test_x_corrected_measurement_of_an_x_frame_environment_at_48_qubits(self):
+        n = 48
+        env = [f"e{i}" for i in range(1, n - 1)]
+        script = [{"op": "rotate_basis", "target": lbl} for lbl in env] + [
+            {"op": "corrected_measure", "signal": "s", "observer": "o",
+             "environment": env, "basis": "X"},
+            {"op": "branches", "basis": "X"},
+            {"op": "agreement", "basis": "X", "pairs": [["s", "o"], ["e1", env[-2]]]},
+        ]
+        report = run(parse_scenario(_x_scenario(n, PSI, PHI, script)))
+        rows = {s.title: s.rows for s in report.sections}
+        # (Hψ)_i |ii⟩ ⊗ χ_k |k…k⟩ ⊗ (Hφ)_j in the →/← frame
+        psi, chi, phi = (
+            np.array([complex(*a) for a in pair]) for pair in (PSI, CHI, PHI)
+        )
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
+        psi, chi, phi = h @ psi / np.linalg.norm(psi), chi / np.linalg.norm(chi), h @ phi / np.linalg.norm(phi)
+        want = [
+            ("→←"[i] * 2 + "→←"[k] * (n - 3) + "→←"[j], psi[i] * chi[k] * phi[j])
+            for i in (0, 1) for k in (0, 1) for j in (0, 1)
+        ]
+        branches = rows[f"step {n}: branches"][1:]
+        assert [row[0] for row in branches] == [outcome for outcome, _ in want]
+        for row, (_, amp) in zip(branches, want):
+            assert abs(float(row[1]) - amp.real) < 1e-11
+            assert abs(float(row[2]) - amp.imag) < 1e-11
+        assert rows[f"step {n + 1}: agreement"][-1] == ("aggregate", "", "1", "1")
+
+
+def _gate_steps(ops) -> list:
+    steps = []
+    for op in ops:
+        if isinstance(op, RotateBasis):
+            steps.append({"op": "rotate_basis", "target": op.target})
+        elif isinstance(op, Swap):
+            steps.append({"op": "swap", "a": op.a, "b": op.b})
+        else:
+            kind = "imprint" if isinstance(op, Imprint) else "inverse_imprint"
+            steps.append({"op": kind, "source": op.source, "target": op.target})
+    return steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_inverted_script_restores_the_initial_branch_tables(seed):
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(5, 11))
+    labels = [f"q{i}" for i in range(n)]
+    split = int(gen.integers(0, n - 4))
+    pair = lambda: [[float(x) for x in gen.normal(size=2)] for _ in range(2)]  # noqa: E731
+    subsystems = [{"label": lbl, "amplitudes": pair()} for lbl in labels[:split]]
+    subsystems.append({"ghz": {"labels": labels[split:], "coefficients": pair()}})
+    script = []
+    for _ in range(int(gen.integers(1, 16))):
+        kind = int(gen.integers(0, 4))
+        a, b = (str(x) for x in gen.choice(labels, size=2, replace=False))
+        script.append((RotateBasis(a), Swap(a, b), Imprint(a, b), InverseImprint(a, b))[kind])
+    mixed = {lbl: "ZX"[int(gen.integers(0, 2))] for lbl in labels}
+    views = [{"op": "branches", "basis": basis} for basis in ("Z", mixed)]
+    doc = {
+        "subsystems": subsystems,
+        "script": views + _gate_steps(script) + _gate_steps(invert_script(script)) + views,
+    }
+    seen = []
+    decompose = runner.branch_decompose
+
+    def recording(state, basis):
+        seen.append(state)
+        return decompose(state, basis)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "branch_decompose", recording)
+        report = run(parse_scenario(json.dumps(doc)))
+    tables = [s.rows for s in report.sections if s.title.endswith("branches")]
+    assert _same_up_to_rounding([("Z", tables[0]), ("mixed", tables[1])],
+                                [("Z", tables[2]), ("mixed", tables[3])])
+    # The stored flags need not come back to 0 (a control flag cleared on
+    # the way out is not set again on the way back); the Z frame must.
+    assert np.allclose(seen[-1].amplitudes, seen[0].amplitudes, rtol=0.0, atol=1e-12)
 
 
 class TestFormatting:
@@ -405,6 +550,15 @@ class TestCliProcess:
         result = self.run_cli("run", str(path))
         assert "Traceback" not in result.stderr
         assert result.returncode == 1 or (result.returncode == 0 and "== step 1" in result.stdout)
+
+    def test_ideal_x_at_30_qubits_exits_0(self, tmp_path):
+        path = tmp_path / "ideal_x_30.json"
+        path.write_text(_x_scenario(30, RIGHT, RIGHT, IDEAL_X))
+        result = self.run_cli("run", str(path))
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert "qubits      30" in result.stdout
+        assert "== step 3: agreement ==" in result.stdout
 
     def test_oracle_subcommand_matches_run(self):
         fast = self.run_cli("run", str(SCENARIOS / "record_recovery.json"))

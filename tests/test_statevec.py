@@ -301,7 +301,7 @@ class TestSizeLimits:
         ghz = make_ghz(labels(40), (1, 1))
         for dense in (
             lambda: ghz.amplitudes,
-            lambda: rotate_basis(ghz, "q3"),
+            lambda: rotate_basis(ghz, "q3").amplitudes,
             lambda: apply_single(ghz, "q0", np.eye(2)),
             lambda: branch_decompose(ghz, "X"),
             lambda: approx_eq(ghz, ghz),

@@ -7,6 +7,7 @@ same operation on an index-free copy, and the dense vector an indexed state
 builds on first access must be the one the index-free copy holds.
 """
 import json
+import re
 import sys
 import threading
 
@@ -41,7 +42,8 @@ from qmeasure.statevec import (
 
 
 def check_index(state: PureState) -> None:
-    """The index is sorted, unique, within the share, and covers the support."""
+    """The index is sorted, unique, within the share, and covers the support
+    (of the Z-frame amplitudes when the state carries no basis flags)."""
     index = state._index
     if index is None:
         return
@@ -49,9 +51,10 @@ def check_index(state: PureState) -> None:
     assert index.size <= state.dim * SPARSE_SHARE
     assert np.all(np.diff(index) > 0)
     assert 0 <= index[0] and index[-1] < state.dim
-    off = np.ones(state.dim, dtype=bool)
-    off[index] = False
-    assert not np.any(state.amplitudes[off])
+    if not state._frame:
+        off = np.ones(state.dim, dtype=bool)
+        off[index] = False
+        assert not np.any(state.amplitudes[off])
 
 
 def _pair(gen):
@@ -152,6 +155,100 @@ def test_tensor_values_equal_the_outer_product(seed):
         assert np.array_equal(got.amplitudes, want)
 
 
+def dense_twin_step(plain: PureState, kernel, operands) -> PureState:
+    """One gate on an unflagged dense state: the rotation as a pass over the
+    amplitude vector, the permutation gates as they run on such a state."""
+    if kernel is rotate_basis:
+        vec = plain.amplitudes.copy()
+        statevec._rotate_axis(vec, plain.register.position(operands[0]))
+        return PureState(plain.register, vec)
+    return kernel(plain, *operands)
+
+
+def _ready_offs(state: PureState) -> list:
+    """Per label and basis: None when the observer is ready, else its off-ready norm."""
+    offs = []
+    for label in state.register.labels:
+        for basis in ("Z", "X"):
+            try:
+                check_ready(state, label, basis)
+                offs.append(None)
+            except ObserverNotReadyError as exc:
+                offs.append(float(re.search(r"by (\S+);", str(exc)).group(1)))
+    return offs
+
+
+def assert_same_as_twin(state: PureState, twin: PureState, gen) -> None:
+    """A flagged state reads like its unflagged dense twin, up to rounding."""
+    assert twin._frame == 0 and twin._index is None
+    check_index(state)
+    assert np.allclose(state.amplitudes, twin.amplitudes, rtol=0.0, atol=1e-12)
+    labels = state.register.labels
+    mixed = {lbl: "ZX"[int(gen.integers(0, 2))] for lbl in labels}
+    for basis in ("Z", "X", mixed):
+        ours, theirs = branch_decompose(state, basis), branch_decompose(twin, basis)
+        assert [b.outcome for b in ours.branches] == [b.outcome for b in theirs.branches]
+        for a, b in zip(ours.branches, theirs.branches):
+            assert abs(a.amplitude - b.amplitude) <= 1e-12
+    for a, b in zip(_ready_offs(state), _ready_offs(twin)):
+        assert (a is None) == (b is None) and (a is None or abs(a - b) <= 2e-3 * b)
+    for relabel in (False, True):
+        ours = find_clusters(state, allow_relabeling=relabel)
+        theirs = find_clusters(twin, allow_relabeling=relabel)
+        assert ours.residual == theirs.residual
+        assert [(c.members, c.flips) for c in ours.clusters] == [
+            (c.members, c.flips) for c in theirs.clusters
+        ]
+        for a, b in zip(ours.clusters, theirs.clusters):
+            assert np.allclose(a.coefficients, b.coefficients, rtol=0.0, atol=1e-10)
+
+
+def flagged_pair(gen, sparse: bool) -> tuple[PureState, PureState]:
+    """A random register after random gates, rotations included, and its twin."""
+    state = build_register(gen, sparse)
+    twin = PureState(state.register, state.amplitudes)
+    for kernel, operands in random_gates(gen, list(state.register.labels), int(gen.integers(2, 9))):
+        state, twin = kernel(state, *operands), dense_twin_step(twin, kernel, operands)
+    return state, twin
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sparse=st.booleans())
+def test_flagged_states_match_dense_twins(seed, sparse):
+    gen = np.random.default_rng(seed)
+    state = build_register(gen, sparse)
+    twin = PureState(state.register, state.amplitudes)
+    labels = list(state.register.labels)
+    ops = random_gates(gen, labels, int(gen.integers(1, 13)))
+    ops += [(rotate_basis, [lbl]) for lbl in gen.choice(labels, size=3)]
+    gen.shuffle(ops)
+    for kernel, operands in ops:
+        state, twin = kernel(state, *operands), dense_twin_step(twin, kernel, operands)
+        assert_same_as_twin(state, twin, gen)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_tensor_of_flagged_states_matches_dense_twins(seed):
+    gen = np.random.default_rng(seed)
+    a, twin_a = flagged_pair(gen, bool(gen.integers(0, 2)))
+    while a.n_qubits > 9:  # keeps the dense twins of the product small
+        a, twin_a = flagged_pair(gen, True)
+    b, twin_b = flagged_pair(gen, False)
+    rename = Register(tuple(f"b{lbl}" for lbl in b.register.labels))
+    b = statevec._framed(rename, b._index, b._values, b._frame)
+    twin_b = PureState(rename, twin_b.amplitudes)
+    for (left, twin_left), (right, twin_right) in (((a, twin_a), (b, twin_b)), ((b, twin_b), (a, twin_a))):
+        got = tensor(left, right)
+        assert got._frame == (left._frame << right.n_qubits) | right._frame
+        twin = PureState(got.register, tensor(twin_left, twin_right).amplitudes)
+        assert_same_as_twin(got, twin, gen)
+        labels = list(got.register.labels)
+        for kernel, operands in random_gates(gen, labels, 2):
+            got, twin = kernel(got, *operands), dense_twin_step(twin, kernel, operands)
+            assert_same_as_twin(got, twin, gen)
+
+
 class TestShareEdge:
     def test_ghz_keeps_its_index_exactly_at_the_share(self):
         # two positions: 2 = 2^5 / 16 is kept, 2 > 2^4 / 16 is not
@@ -183,12 +280,17 @@ class TestShareEdge:
 
 
 class TestIndexDropped:
-    def test_rotate_basis_drops_the_index(self):
+    def test_rotate_basis_keeps_the_index_and_sets_a_flag(self):
         ghz = make_ghz([f"e{i}" for i in range(6)], (1, 1))
-        assert ghz._index is not None
+        assert ghz._index is not None and ghz._frame == 0
         rotated = rotate_basis(ghz, "e2")
-        assert rotated._index is None
+        assert rotated._index is ghz._index and rotated._values is ghz._values
+        assert rotated._frame == 1 << 3
+        assert rotated._dense is None
         assert np.count_nonzero(rotated.amplitudes) == 4
+        back = rotate_basis(rotated, "e2")
+        assert back._frame == 0 and back._index is ghz._index
+        assert back.amplitudes.tobytes() == ghz.amplitudes.tobytes()
 
     def test_single_qubit_unitary_and_constructor_drop_it(self):
         ghz = make_ghz([f"e{i}" for i in range(6)], (1, 1))
@@ -318,7 +420,7 @@ def test_z_corrected_measurement_beyond_dense_memory(no_dense_builds):
 
 
 class TestCheckReady:
-    """In Z the ready check reads an indexed state's support; X stays dense."""
+    """The ready check reads an indexed state's support in either basis."""
 
     def measured(self, observer_down):
         ghz = make_ghz([f"e{i}" for i in range(8)], (0.6, 0.8))
@@ -347,8 +449,14 @@ class TestCheckReady:
                 assert errors[0] == errors[1]
                 assert (errors[0] is None) == (label == "o" and not down)
 
-    def test_x_basis_still_builds_the_dense_vector(self):
+    def test_x_check_builds_no_dense_vector(self, no_dense_builds):
+        # o = |↑⟩ lies off |→⟩ by 1/√2; once flagged it sits in |→⟩ exactly
         state = self.measured(observer_down=False)
-        with pytest.raises(ObserverNotReadyError, match=r"ready state \|→⟩"):
+        with pytest.raises(ObserverNotReadyError, match=r"ready state \|→⟩ by 7.071e-01"):
             check_ready(state, "o", "X")
-        assert state._dense is not None
+        flagged = rotate_basis(state, "o")
+        assert flagged._frame and flagged._index is not None
+        check_ready(flagged, "o", "X")
+        with pytest.raises(ObserverNotReadyError, match=r"ready state \|↑⟩ by 7.071e-01"):
+            check_ready(flagged, "o", "Z")
+        assert state._dense is None and flagged._dense is None
