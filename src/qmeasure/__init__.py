@@ -28,7 +28,6 @@ from .gates import (
     RotateBasis,
     Swap,
     apply_script,
-    apply_single,
     imprint,
     inverse_imprint,
     invert_script,

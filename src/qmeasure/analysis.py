@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevec import BranchSet, PureState, Register, _check_dense, _frame_view
+from .statevec import BranchSet, PureState, _frame_view
 
 #: Default detection tolerance.  Two roles: the support cutoff on
 #: |amplitude|, and the relative 2-norm reconstruction error accepted per
@@ -74,12 +74,6 @@ class ClusterDecomposition:
 
     clusters: tuple[CorrelationCluster, ...]
     residual: tuple[str, ...]
-
-    def cluster_of(self, label: str) -> CorrelationCluster | None:
-        for cluster in self.clusters:
-            if label in cluster.members:
-                return cluster
-        return None
 
 
 @dataclass(frozen=True)
@@ -303,36 +297,6 @@ def find_clusters(
 
     residual.sort(key=reg.position)
     return ClusterDecomposition(tuple(clusters), tuple(residual))
-
-
-def reconstruct(decomposition: ClusterDecomposition, register: Register) -> PureState:
-    """Tensor product of the cluster states, laid out in register order.
-
-    Only defined when the residual is empty and the clusters cover the
-    register.
-    """
-    if decomposition.residual:
-        raise NotClusterNormalError(
-            f"cannot reconstruct: residual subsystems {decomposition.residual}"
-        )
-    covered = [m for cluster in decomposition.clusters for m in cluster.members]
-    if sorted(covered) != sorted(register.labels):
-        raise ValueError("clusters do not cover the register exactly")
-    n = len(register)
-    _check_dense(n)
-
-    vec = np.ones(1, dtype=np.complex128)
-    for cluster in decomposition.clusters:
-        k = cluster.size
-        part = np.zeros(2**k, dtype=np.complex128)
-        up_index = sum(int(f) << (k - 1 - j) for j, f in enumerate(cluster.flips))
-        part[up_index] = cluster.coefficients[0]
-        part[(2**k - 1) ^ up_index] = cluster.coefficients[1]
-        vec = np.kron(vec, part)
-
-    perm = [covered.index(lbl) for lbl in register.labels]
-    vec = np.transpose(vec.reshape([2] * n), perm).reshape(-1)
-    return PureState(register, vec)
 
 
 def cluster_measure(cluster: CorrelationCluster, tol: float = DEFAULT_TOL) -> int:

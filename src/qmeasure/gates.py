@@ -10,17 +10,13 @@ stored amplitudes φ:
 - the swap exchanges the two qubits' bits in φ and their flags;
 - the imprint is a permutation of φ when neither operand is flagged, the
   same permutation with the operands reversed when both are, since
-  (H⊗H)·imprint(a→b)·(H⊗H) = imprint(b→a), and a sign flip on the
-  amplitudes with both bits set when only the target is, since
-  H_t·imprint·H_t is the controlled Z; a flagged control over an unflagged
-  target has its flag cleared first, which at most doubles the support.
+  (H⊗H)·imprint(a→b)·(H⊗H) = imprint(b→a), and when only one is flagged,
+  that flag is cleared first, which at most doubles the support.
 
 Kernels work on the support index when φ has one, moving only the indexed
 amplitudes, and otherwise by strided slicing of the dense vector (the
 stride is fixed by the operand's register position), never by building
-2^n x 2^n matrices, so a gate costs O(2^n) time and memory at most.  The
-arbitrary single-qubit unitary of :func:`apply_single` is not a Clifford
-gate; it reads the dense Z-frame vector.
+2^n x 2^n matrices, so a gate costs O(2^n) time and memory at most.
 """
 from __future__ import annotations
 
@@ -30,8 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from .statevec import PureState, _adopt, _framed, _rotated
-
-UNITARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -100,23 +94,6 @@ def _moved(state: PureState, to: np.ndarray, frame: int) -> PureState:
     return _adopt(state.register, state._values[order], to[order], frame)
 
 
-def _controlled_z(state: PureState, pa: int, pb: int) -> PureState:
-    """Negate the stored amplitudes whose bits at ``pa`` and ``pb`` are both set.
-
-    As 0 − x rather than −x, so that zeros stay +0 whether or not the
-    support index lists them.
-    """
-    n, index = state.n_qubits, state._index
-    values = state._values.copy()
-    if index is None:
-        psi, both = values.reshape([2] * n), _slice_at(n, {pa: 1, pb: 1})
-        psi[both] = 0.0 - psi[both]
-    else:
-        both = ((index >> (n - 1 - pa)) & (index >> (n - 1 - pb)) & 1).astype(bool)
-        values[both] = 0.0 - values[both]
-    return _adopt(state.register, values, index, state._frame)
-
-
 def imprint(state: PureState, source: str, target: str) -> PureState:
     """Flip the target wherever the source is ↓; identity on the ↑ rows.
 
@@ -126,13 +103,11 @@ def imprint(state: PureState, source: str, target: str) -> PureState:
         raise ValueError(f"imprint needs two distinct operands, got {source!r} twice")
     ps, pt, n = _pair_positions(state, source, target)
     flagged = [(state._frame >> (n - 1 - p)) & 1 for p in (ps, pt)]
-    if flagged == [1, 0]:  # clear the control's flag, then permute
-        bit = 1 << (n - 1 - ps)
+    if flagged[0] != flagged[1]:  # clear the one flag set, then permute
+        bit = 1 << (n - 1 - (ps if flagged[0] else pt))
         index, values = _rotated(n, state._index, state._values, bit)
         state = _adopt(state.register, values, index, state._frame ^ bit)
-    elif flagged == [0, 1]:  # H_t·imprint·H_t = CZ
-        return _controlled_z(state, ps, pt)
-    elif flagged == [1, 1]:  # (H⊗H)·imprint(a→b)·(H⊗H) = imprint(b→a)
+    elif flagged[0]:  # (H⊗H)·imprint(a→b)·(H⊗H) = imprint(b→a)
         ps, pt = pt, ps
     index = state._index
     if index is not None:
@@ -179,25 +154,6 @@ def rotate_basis(state: PureState, target: str) -> PureState:
     """
     bit = 1 << (state.n_qubits - 1 - state.register.position(target))
     return _framed(state.register, state._index, state._values, state._frame ^ bit)
-
-
-def apply_single(state: PureState, target: str, u: np.ndarray) -> PureState:
-    """Apply a validated 2x2 unitary on one subsystem."""
-    mat = np.asarray(u, dtype=np.complex128)
-    if mat.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
-    defect = np.max(np.abs(mat.conj().T @ mat - np.eye(2)))
-    if defect > UNITARY_TOL:
-        raise ValueError(f"matrix is not unitary (max |u†u - I| = {defect:.3e})")
-    pt = state.register.position(target)
-    n = state.n_qubits
-    psi = state.amplitudes.reshape([2] * n)
-    lo = _slice_at(n, {pt: 0})
-    hi = _slice_at(n, {pt: 1})
-    out = np.empty_like(psi)
-    out[lo] = mat[0, 0] * psi[lo] + mat[0, 1] * psi[hi]
-    out[hi] = mat[1, 0] * psi[lo] + mat[1, 1] * psi[hi]
-    return _adopt(state.register, out.reshape(-1))
 
 
 def apply_gate(state: PureState, op: GateOp) -> PureState:

@@ -18,7 +18,6 @@ from .statevec import PureState, Register
 
 ORACLE_MAX_QUBITS = 12
 
-_ID = np.eye(2, dtype=np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)

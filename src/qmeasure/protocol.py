@@ -33,7 +33,7 @@ import numpy as np
 
 from . import analysis
 from .gates import GateOp, Imprint, InverseImprint, RotateBasis, Swap, apply_script
-from .statevec import PureState, _pairs, product_state
+from .statevec import PureState, _frame_view, product_state
 
 #: Runs a gate script on a state: the strided kernels or the dense oracle.
 Executor = Callable[[PureState, Sequence[GateOp]], PureState]
@@ -222,28 +222,21 @@ def check_ready(state: PureState, observer: str, basis: str) -> None:
     """Raise unless the observer sits in the basis-0 ready state (|↑⟩ or |→⟩).
 
     The off-ready norm does not depend on the other qubits' basis flags, so
-    it is read off the stored amplitudes, with the rotation applied on the
-    observer alone when its flag differs from the basis.  A state holding
-    only its support index is checked on the indexed amplitudes and stays
+    it is read in the state's own frame with the observer's flag set to the
+    basis: the norm of the amplitudes whose observer bit is set.  A state
+    holding only its support index is checked on that index and stays
     sparse.
     """
     pos = state.register.position(observer)
-    shift = state.n_qubits - 1 - pos
     if basis not in ("Z", "X"):
         raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
-    rotate = bool((state._frame >> shift) & 1) != (basis == "X")
-    if state._index is not None:
-        if rotate:
-            _, v_up, v_down = _pairs(state._index, state._values, shift)
-        else:
-            v_down = state._values[((state._index >> shift) & 1).astype(bool)]
+    bit = 1 << (state.n_qubits - 1 - pos)
+    frame = state._frame | bit if basis == "X" else state._frame & ~bit
+    index, values = _frame_view(state, frame)
+    if index is None:
+        off = float(np.linalg.norm(values.reshape(2**pos, 2, -1)[:, 1]))
     else:
-        psi = state._values.reshape(2**pos, 2, -1)
-        v_up, v_down = psi[:, 0], psi[:, 1]
-    if rotate:
-        off = float(np.linalg.norm(v_up - v_down)) / np.sqrt(2.0)
-    else:
-        off = float(np.linalg.norm(v_down))
+        off = float(np.linalg.norm(values[(index & bit) != 0]))
     ready = "↑" if basis == "Z" else "→"
     if off > READY_TOL:
         raise ObserverNotReadyError(

@@ -229,8 +229,6 @@ def run(scenario: Scenario, engine: str = "gates") -> Report:
                 )
             else:
                 raise TypeError(f"unknown step {step!r}")
-        except RunError:
-            raise
         except (ValueError, TypeError) as exc:
             raise RunError(number, step, exc) from exc
 

@@ -8,10 +8,9 @@ Conventions used throughout the package:
 - Register position 0 is the *most significant* bit of the amplitude index,
   so the flat amplitude array reads like left-to-right ket notation: for a
   register (a, b) the order is |↑↑⟩, |↑↓⟩, |↓↑⟩, |↓↓⟩.
-- States are values.  Amplitude arrays are copied and locked at construction
-  (a lazily built dense vector is built once, under a lock, and locked as
-  well) and every operation returns a new state, so states are safe to share
-  between threads.
+- States are values.  Amplitude arrays are copied and locked at construction,
+  a state never changes after it, and every operation returns a new state,
+  so states are safe to share between threads.
 - A register has at most ``MAX_QUBITS`` subsystems, so that every amplitude
   position fits an int64.
 - Constructors that accept user coefficients normalize them; everything else
@@ -31,24 +30,21 @@ Every state also carries a per-qubit basis frame, a bitmask with the bit
 order of the amplitude index: the state is H^frame · φ, where H is the
 ↑/↓ ↔ →/← rotation on each flagged qubit and φ is the stored support index
 or dense vector.  A basis rotation flips one flag and touches no amplitude;
-the gates move flags as described in :mod:`qmeasure.gates`.  Branch
-listing and cluster detection clear only the flags that differ from the
-basis they read (cluster detection reads Z), in register-position order,
-with the (lo ± hi)/√2 arithmetic of the dense kernel: on the support index,
-which at most doubles per flag, while it stays within the share, then on
-the dense vector.  The norm check and the ready check read the stored
-amplitudes, the latter with the rotation applied on the observer alone.
-The dense Z-frame vector is built, on first access to
-:attr:`PureState.amplitudes`, only by the dense kernels that read it
-(arbitrary single-qubit unitaries, the dense oracle, :func:`approx_eq`), and
-then cached on the state; views whose cleared support outgrows the share
-build a dense vector of their own.  No dense vector over more than
-``DENSE_MAX_QUBITS`` qubits is built; asking for one raises
+the gates move flags as described in :mod:`qmeasure.gates`.  Every reader
+sees a state in a frame through :func:`_frame_view`, which clears only the
+flags that differ from that frame, in register-position order, with the
+(lo ± hi)/√2 arithmetic of the dense kernel: on the support index, which at
+most doubles per flag, while it stays within the share, then on the dense
+vector.  Branch listing reads the frame of its selectors, cluster detection
+and :attr:`PureState.amplitudes` the Z frame, and the ready check the
+state's own frame with the observer's flag set to the basis.  The dense
+Z-frame vector, scattered anew on each access to ``amplitudes``, is read
+only by the dense oracle and :func:`approx_eq`.  No dense vector over more
+than ``DENSE_MAX_QUBITS`` qubits is built; asking for one raises
 :class:`DenseLimitError`.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -88,10 +84,6 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 #: A basis choice is "Z" (computational ↑/↓) or "X" (→/←), given either as
 #: one string applied uniformly or as a mapping covering every register label.
 BasisChoice = str | Mapping[str, str]
-
-#: Serializes building the dense vector of an index-holding state, so that
-#: every reader of one state gets the same cached array.
-_MATERIALIZE = threading.Lock()
 
 
 class DenseLimitError(ValueError):
@@ -197,13 +189,7 @@ def _framed(
 ) -> "PureState":
     """The state H^frame · φ over read-only stored amplitudes, unchecked."""
     state = object.__new__(PureState)
-    state.__dict__.update(
-        register=register,
-        _index=index,
-        _values=values,
-        _frame=frame,
-        _dense=values if index is None and not frame else None,
-    )
+    state.__dict__.update(register=register, _index=index, _values=values, _frame=frame)
     return state
 
 
@@ -232,7 +218,7 @@ class PureState:
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm!r} is off unity by more than {NORM_TOL}")
         arr.setflags(write=False)
-        self.__dict__.update(register=register, _index=None, _values=arr, _frame=0, _dense=arr)
+        self.__dict__.update(register=register, _index=None, _values=arr, _frame=0)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -244,23 +230,15 @@ class PureState:
     def amplitudes(self) -> np.ndarray:
         """The read-only dense 2^n amplitude vector in the Z frame.
 
-        A state that holds only its support index, or carries basis flags,
-        builds it on first access and caches it; every later access returns
-        the same array.
+        The Z-frame view of the state, scattered into a dense vector when it
+        is held as a support index; built anew on each access, except for an
+        unflagged dense state, which returns its stored vector.
         """
-        dense = self._dense
-        if dense is None:
-            with _MATERIALIZE:
-                dense = self._dense
-                if dense is None:
-                    n, index, dense = self.n_qubits, self._index, self._values
-                    if self._frame:
-                        index, dense = _rotated(n, index, dense, self._frame)
-                    if index is not None:
-                        dense = _scatter(n, index, dense)
-                    dense.setflags(write=False)
-                    self.__dict__["_dense"] = dense
-        return dense
+        index, values = _frame_view(self, 0)
+        if index is not None:
+            values = _scatter(self.n_qubits, index, values)
+        values.setflags(write=False)
+        return values
 
     @property
     def n_qubits(self) -> int:
@@ -307,16 +285,8 @@ class BranchSet:
     basis: tuple[str, ...]
     branches: tuple[Branch, ...]
 
-    @property
-    def basis_map(self) -> dict[str, str]:
-        return dict(zip(self.register.labels, self.basis))
-
     def position(self, label: str) -> int:
         return self.register.position(label)
-
-    def symbol(self, branch: Branch, label: str) -> str:
-        """Outcome symbol of ``label`` in ``branch``."""
-        return branch.outcome[self.position(label)]
 
 
 def normalize_basis(basis: BasisChoice, register: Register) -> tuple[str, ...]:
@@ -537,14 +507,12 @@ def _frame_view(state: PureState, frame: int) -> tuple[np.ndarray | None, np.nda
     """The amplitudes of H^frame · ψ, as (index, values), or (None, dense).
 
     With ψ = H^F · φ that is H^(frame ^ F) · φ: only the flags that differ
-    from ``frame`` are cleared.  The Z frame (0) of a dense state is the
-    cached :attr:`PureState.amplitudes`.
+    from ``frame`` are cleared.  The stored arrays come back as they are
+    when none differ.
     """
     flip = state._frame ^ frame
     if not flip:
         return state._index, state._values
-    if not frame and (state._index is None or state._dense is not None):
-        return None, state.amplitudes
     return _rotated(state.n_qubits, state._index, state._values, flip)
 
 

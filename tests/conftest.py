@@ -30,6 +30,13 @@ def labels(n: int) -> tuple[str, ...]:
     return tuple(f"q{i}" for i in range(n))
 
 
+def assert_unchanged(state: PureState, stored: dict) -> None:
+    """The state holds the attributes ``stored`` took from it, bound to the
+    same objects."""
+    assert vars(state).keys() == stored.keys()
+    assert all(vars(state)[key] is value for key, value in stored.items())
+
+
 def _single(amplitudes: str) -> str:
     return (
         '{"subsystems": [{"label": "s", "amplitudes": ' + amplitudes + "}],"

@@ -16,7 +16,6 @@ from qmeasure.analysis import (
     cluster_measure,
     find_clusters,
     ledger_record,
-    reconstruct,
     recover_record,
     total_measure,
 )
@@ -52,6 +51,35 @@ def correlated_pair(labels, psi, anti=False):
     pn = normalized(psi)
     vec = np.array([0, pn[0], pn[1], 0]) if anti else np.array([pn[0], 0, 0, pn[1]])
     return PureState(Register(labels), vec)
+
+
+def reconstruct(decomposition: ClusterDecomposition, register: Register) -> PureState:
+    """Tensor product of the cluster states, laid out in register order: the
+    state a decomposition stands for.
+
+    Only defined when the residual is empty and the clusters cover the
+    register.
+    """
+    if decomposition.residual:
+        raise NotClusterNormalError(
+            f"cannot reconstruct: residual subsystems {decomposition.residual}"
+        )
+    covered = [m for cluster in decomposition.clusters for m in cluster.members]
+    if sorted(covered) != sorted(register.labels):
+        raise ValueError("clusters do not cover the register exactly")
+    n = len(register)
+    vec = np.ones(1, dtype=np.complex128)
+    for cluster in decomposition.clusters:
+        k = cluster.size
+        part = np.zeros(2**k, dtype=np.complex128)
+        up_index = sum(int(f) << (k - 1 - j) for j, f in enumerate(cluster.flips))
+        part[up_index] = cluster.coefficients[0]
+        part[(2**k - 1) ^ up_index] = cluster.coefficients[1]
+        vec = np.kron(vec, part)
+
+    perm = [covered.index(lbl) for lbl in register.labels]
+    vec = np.transpose(vec.reshape([2] * n), perm).reshape(-1)
+    return PureState(register, vec)
 
 
 def env_labels(n):

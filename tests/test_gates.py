@@ -9,7 +9,6 @@ from qmeasure.gates import (
     RotateBasis,
     Swap,
     apply_script,
-    apply_single,
     imprint,
     inverse_imprint,
     invert_script,
@@ -22,7 +21,6 @@ from qmeasure.statevec import Register, approx_eq, basis_state, product_state
 from conftest import labels, random_state
 
 INV_SQRT2 = 1 / np.sqrt(2)
-HADAMARD = np.array([[1, 1], [1, -1]]) * INV_SQRT2
 
 IMPRINT_TABLE = [("↑↑", "↑↑"), ("↑↓", "↑↓"), ("↓↑", "↓↓"), ("↓↓", "↓↑")]
 SWAP_TABLE = [("↑↑", "↑↑"), ("↑↓", "↓↑"), ("↓↑", "↑↓"), ("↓↓", "↓↓")]
@@ -110,30 +108,12 @@ class TestRotateBasis:
         state = basis_state(AB, sym)
         assert approx_eq(rotate_basis(rotate_basis(state, "b"), "b"), state, 1e-15)
 
-
-class TestApplySingle:
-    def test_identity(self, rng):
-        state = random_state(rng, labels(3))
-        assert approx_eq(apply_single(state, "q1", np.eye(2)), state, 0)
-
-    def test_not_gate(self):
-        out = apply_single(basis_state(("s",), "↑"), "s", np.array([[0, 1], [1, 0]]))
-        assert approx_eq(out, basis_state(("s",), "↓"), 0)
-
     def test_hadamard_reproduces_rotate_basis(self, rng):
         for _ in range(20):
             state = random_state(rng, labels(4))
             direct = rotate_basis(state, "q2")
-            via_matrix = apply_single(state, "q2", HADAMARD)
-            assert approx_eq(direct, via_matrix, 1e-12)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError, match="unitary"):
-            apply_single(basis_state(("s",), "↑"), "s", np.array([[1, 0], [0, 2]]))
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError, match="2x2"):
-            apply_single(basis_state(("s",), "↑"), "s", np.eye(3))
+            via_matrix = gate_matrix(RotateBasis("q2"), state.register) @ state.amplitudes
+            assert np.max(np.abs(direct.amplitudes - via_matrix)) <= 1e-12
 
 
 class TestApplyScript:

@@ -162,8 +162,9 @@ class TestCorrectedMeasure:
         psi, phi, chi = random_pair(rng, 0.1), random_pair(rng), random_pair(rng, 0.1)
         state, spec = corrected_setup(psi, phi, chi, 4)
         out = corrected_measure(state, spec)
-        cluster = find_clusters(out).cluster_of("e4")
-        assert cluster is not None and cluster.members == ("e4",)
+        clusters = [c for c in find_clusters(out).clusters if "e4" in c.members]
+        assert [c.members for c in clusters] == [("e4",)]
+        cluster = clusters[0]
         c = np.array(cluster.coefficients)
         on = normalized(phi)
         assert abs(c[0] * on[1] - c[1] * on[0]) < 1e-12
@@ -470,7 +471,7 @@ class TestAppendixScenario:
         branches = branch_decompose(out, self.record_basis(out))
         assert branches.branches, "no branches survived"
         for branch in branches.branches:
-            assert branches.symbol(branch, "^1o1") == "↑"
+            assert branch.outcome[branches.position("^1o1")] == "↑"
 
     def test_two_records_always_agree(self, rng):
         psi = random_pair(rng)
@@ -478,7 +479,7 @@ class TestAppendixScenario:
         assert approx_eq(out, ScenarioOracle.appendix(psi, 2), 1e-12)
         branches = branch_decompose(out, self.record_basis(out))
         for branch in branches.branches:
-            assert branches.symbol(branch, "^1o1") == branches.symbol(branch, "^2o1")
+            assert branch.outcome[branches.position("^1o1")] == branch.outcome[branches.position("^2o1")]
 
     def test_branch_weights_follow_the_record(self):
         # record-ket expansion: |amplitude| is |psi_r| / 2 branch by branch
@@ -496,7 +497,7 @@ class TestAppendixScenario:
         out = run_scenario_appendix(psi, 1)
         branches = branch_decompose(out, self.record_basis(out))
         for branch in branches.branches:
-            record = branches.symbol(branch, "^1o1")
+            record = branch.outcome[branches.position("^1o1")]
             expected_mag = abs(pn[0]) / 2 if record == "↑" else abs(pn[1]) / 2
             assert abs(abs(branch.amplitude) - expected_mag) < 1e-12
 

@@ -4,7 +4,7 @@ Goldens and the shipped scenarios run at n = 5, where no state keeps an
 index, so these tests are what covers the sparse side: every operation on
 an indexed state must give the same bytes, clusters and branches as the
 same operation on an index-free copy, and the dense vector an indexed state
-builds on first access must be the one the index-free copy holds.
+builds on each access must be the one the index-free copy holds.
 """
 import json
 import re
@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 
 from qmeasure import gates, statevec
 from qmeasure.analysis import find_clusters
+from qmeasure.oracle import oracle_apply
 from qmeasure.protocol import ObserverNotReadyError, check_ready
 from qmeasure.runner import run
 from qmeasure.scenario import parse_scenario
 from qmeasure.gates import (
-    apply_single,
+    Imprint,
     imprint,
     inverse_imprint,
     rotate_basis,
@@ -39,6 +40,8 @@ from qmeasure.statevec import (
     product_state,
     tensor,
 )
+
+from conftest import assert_unchanged
 
 
 def check_index(state: PureState) -> None:
@@ -103,16 +106,15 @@ def random_gates(gen, labels, count):
     return ops
 
 
-def assert_lazy_amplitudes(state: PureState, plain: PureState) -> None:
-    """An indexed state has not built its dense vector yet; on first access
-    it builds the index-free copy's bytes, read-only, and keeps that array."""
-    if state._index is None:
-        return
-    assert state._dense is None
-    vec = state.amplitudes
-    assert vec.tobytes() == plain.amplitudes.tobytes()
-    assert not vec.flags.writeable
-    assert state.amplitudes is vec
+def assert_amplitudes_read_only(state: PureState, plain: PureState) -> None:
+    """Every access builds the index-free copy's bytes, read-only, and
+    leaves the state as it was."""
+    stored = dict(vars(state))
+    for _ in range(2):
+        vec = state.amplitudes
+        assert vec.tobytes() == plain.amplitudes.tobytes()
+        assert not vec.flags.writeable
+    assert_unchanged(state, stored)
 
 
 def assert_same_views(indexed: PureState, plain: PureState) -> None:
@@ -135,7 +137,7 @@ def test_indexed_states_match_index_free_copies(seed, sparse):
     assert_same_views(state, plain)
     for kernel, operands in random_gates(gen, list(state.register.labels), int(gen.integers(0, 7))):
         state, plain = kernel(state, *operands), kernel(plain, *operands)
-        assert_lazy_amplitudes(state, plain)
+        assert_amplitudes_read_only(state, plain)
         check_index(state)
         assert plain._index is None
         assert_same_views(state, plain)
@@ -249,6 +251,28 @@ def test_tensor_of_flagged_states_matches_dense_twins(seed):
             assert_same_as_twin(got, twin, gen)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sparse=st.booleans(), flag_source=st.booleans())
+def test_imprint_with_one_flagged_operand_clears_that_flag(seed, sparse, flag_source):
+    gen = np.random.default_rng(seed)
+    state = build_register(gen, sparse)
+    while state.n_qubits > 8:  # the oracle's dense matrices stay small
+        state = build_register(gen, sparse)
+    labels = list(state.register.labels)
+    source, target = (str(x) for x in gen.choice(labels, size=2, replace=False))
+    for label in gen.choice(labels, size=3):  # flags elsewhere ride along
+        if label not in (source, target):
+            state = rotate_basis(state, str(label))
+    flagged = source if flag_source else target
+    state = rotate_basis(state, flagged)
+    out = imprint(state, source, target)
+    bit = 1 << (state.n_qubits - 1 - state.register.position(flagged))
+    assert out._frame == state._frame ^ bit
+    check_index(out)
+    want = oracle_apply(state, [Imprint(source, target)]).amplitudes
+    assert np.max(np.abs(out.amplitudes - want)) <= 1e-12
+
+
 class TestShareEdge:
     def test_ghz_keeps_its_index_exactly_at_the_share(self):
         # two positions: 2 = 2^5 / 16 is kept, 2 > 2^4 / 16 is not
@@ -286,15 +310,13 @@ class TestIndexDropped:
         rotated = rotate_basis(ghz, "e2")
         assert rotated._index is ghz._index and rotated._values is ghz._values
         assert rotated._frame == 1 << 3
-        assert rotated._dense is None
         assert np.count_nonzero(rotated.amplitudes) == 4
         back = rotate_basis(rotated, "e2")
         assert back._frame == 0 and back._index is ghz._index
         assert back.amplitudes.tobytes() == ghz.amplitudes.tobytes()
 
-    def test_single_qubit_unitary_and_constructor_drop_it(self):
+    def test_constructor_drops_it(self):
         ghz = make_ghz([f"e{i}" for i in range(6)], (1, 1))
-        assert apply_single(ghz, "e0", np.eye(2))._index is None
         assert PureState(ghz.register, ghz.amplitudes)._index is None
 
     def test_large_operand_without_index_is_not_scanned(self):
@@ -307,11 +329,10 @@ class TestIndexDropped:
         assert tensor(basis_state(["s"], "↓"), big)._index is None
 
 
-def test_concurrent_first_reads_share_one_dense_vector():
-    state = tensor(make_ghz([f"e{i}" for i in range(14)], (0.6, 0.8)), product_state(["s", "o"], [(1, 1), (1, 2)]))
-    assert state._index is not None and state._dense is None
-    start = threading.Barrier(4)
-    seen = [None] * 4
+def read_concurrently(state: PureState, readers: int = 4) -> list:
+    """``state.amplitudes`` as read by threads released together."""
+    start = threading.Barrier(readers)
+    seen = [None] * readers
 
     def read(slot):
         start.wait(timeout=10)
@@ -320,7 +341,7 @@ def test_concurrent_first_reads_share_one_dense_vector():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(readers)]
         for t in threads:
             t.start()
         for t in threads:
@@ -328,10 +349,21 @@ def test_concurrent_first_reads_share_one_dense_vector():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    want = PureState(state.register, state.amplitudes).amplitudes
-    for vec in seen:
-        assert vec is seen[0]
-        assert np.array_equal(vec, want)
+    return seen
+
+
+def test_concurrent_amplitude_reads_agree_and_change_nothing():
+    so = product_state(["s", "o"], [(1, 1), (1, 2)])
+    for env_size, indexed in ((3, False), (14, True)):
+        state = tensor(make_ghz([f"e{i}" for i in range(env_size)], (0.6, 0.8)), so)
+        for candidate in (state, rotate_basis(rotate_basis(state, "e1"), "s")):
+            assert (candidate._index is not None) == indexed
+            stored = dict(vars(candidate))
+            want = candidate.amplitudes.tobytes()
+            for vec in read_concurrently(candidate):
+                assert not vec.flags.writeable
+                assert vec.tobytes() == want
+            assert_unchanged(candidate, stored)
 
 
 def _corrected_z_doc(n, psi, phi, chi):
@@ -381,17 +413,7 @@ def test_z_corrected_measurement_stays_sparse(monkeypatch):
         # two-qubit s⊗o part is dense
         full = [s for s in states if s.n_qubits == 20]
         assert len(full) == 5
-        assert all(s._index is not None and s._dense is None for s in states if s.n_qubits > 2)
-
-        def materialized(*args):
-            state = adopt(*args)
-            state.amplitudes
-            return state
-
-        patch.setattr(statevec, "_adopt", materialized)
-        patch.setattr(gates, "_adopt", materialized)
-        forced = run(parse_scenario(text)).render_text()
-    assert forced == sparse
+        assert all(s._index is not None for s in states if s.n_qubits > 2)
     monkeypatch.setattr(statevec, "SPARSE_SHARE", 0.0)
     assert run(parse_scenario(text)).render_text() == sparse
 
@@ -417,6 +439,16 @@ def test_z_corrected_measurement_beyond_dense_memory(no_dense_builds):
         assert abs(float(row[3]) - abs(amp) ** 2) < 1e-11
     assert sections["step 5: agreement"][-1] == ("aggregate", "", "1")
     assert report.sections[-1].rows == (("norm", "1"),)
+
+
+def test_imprint_with_one_flagged_operand_past_the_dense_limit(no_dense_builds):
+    env = [f"e{i}" for i in range(1, 47)]
+    state = tensor(product_state(["s", "o"], [PSI, PHI]), make_ghz(env, CHI))
+    state = rotate_basis(rotate_basis(state, "e1"), "e9")
+    for source, target in (("e1", "o"), ("s", "e1")):
+        out = imprint(state, source, target)
+        assert out._frame == 1 << (48 - 11)
+        assert out._index.size <= 2 * state._index.size
 
 
 class TestCheckReady:
@@ -459,4 +491,3 @@ class TestCheckReady:
         check_ready(flagged, "o", "X")
         with pytest.raises(ObserverNotReadyError, match=r"ready state \|↑⟩ by 7.071e-01"):
             check_ready(flagged, "o", "Z")
-        assert state._dense is None and flagged._dense is None
