@@ -109,17 +109,21 @@ class AgreementReport:
     aggregates: tuple[float, ...]
 
 
-def _support(state: PureState, cutoff: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _support(state: PureState, cutoff: float) -> tuple[np.ndarray | None, np.ndarray, float]:
     """Support columns (index, amplitude) above the cutoff, and the 2-norm of
     the rest relative to theirs.
 
     Reads the Z-frame amplitudes, clearing the state's basis flags on its
     support index while that stays sparse, and only the amplitudes at the
-    index when there is one.
+    index when there is one.  A full support, where no two positions co-vary,
+    has index None and the Z-frame vector itself, uncopied, as amplitudes.
     """
     index, values = _frame_view(state, 0)
     mag = np.abs(values)
-    idx = np.flatnonzero(mag > cutoff)
+    live = mag > cutoff
+    if index is None and live.all():
+        return None, values, 0.0
+    idx = np.flatnonzero(live)
     if idx.size == 0:
         raise ValueError("state has no support above the tolerance cutoff")
     mag[idx] = 0.0
@@ -170,44 +174,63 @@ def _spread(keys: np.ndarray, sub: np.ndarray, values: np.ndarray) -> np.ndarray
     return out
 
 
+def _gram_rejects(a: np.ndarray, b: np.ndarray, n_a: float, n_b: float, bound: float) -> bool:
+    """Whether ‖a‖², ‖b‖² and ⟨a|b⟩ prove the fit error of slices a, b over N
+    columns above ``bound`` (past which ``_peel`` rejects and keeps its cut):
+    their squared error, and the difference-vector one, lie within
+    m = 16·(N + 3)·2⁻⁵³ of the exact error, so it must clear (bound + m)² + m."""
+    margin = 2.0**-49 * (a.size + 3)
+    n_pick, n_other = max(n_a, n_b), min(n_a, n_b)
+    gram = abs(complex(np.vdot(a, b))) / n_pick
+    err2 = (n_other - gram) * (n_other + gram) / (n_a * n_a + n_b * n_b)
+    return err2 > (bound + margin) ** 2 + margin
+
+
 def _peel(
     labels: list[str],
-    idx: np.ndarray,
+    idx: np.ndarray | None,
     amp: np.ndarray,
     members: list[str],
     flips: list[bool],
     tol: float,
     cut: float,
-) -> tuple[tuple[tuple[complex, complex], np.ndarray, np.ndarray] | None, float]:
+) -> tuple[tuple[tuple[complex, complex], np.ndarray | None, np.ndarray] | None, float]:
     """Try to factor the columns as (Σ_k c_k |k…k⟩ over members) ⊗ rest.
 
-    ``idx``/``amp`` are the sorted support columns over ``labels``.  Every
-    column carries the members in the up or the down pattern, since the
-    co-variation classes were read off these columns.  ``cut`` bounds,
-    relative to the columns' norm, how far the uncut state they stand for
-    lies from them.  The factor is accepted when its relative reconstruction
-    error on the columns stays within ``tol`` even at that distance.
+    ``idx``/``amp`` are the sorted support columns over ``labels`` (``idx``
+    None: all 2^n positions); ``amp`` is not written.  Every column carries
+    the members in the up or the down pattern, since the co-variation classes
+    were read off these columns.  ``cut`` bounds, relative to the columns'
+    norm, how far the uncut state they stand for lies from them; the factor is
+    accepted when its relative reconstruction error stays within ``tol`` even
+    at that distance.
 
     Returns the coefficients and the normalized rest as sorted columns over
     the remaining labels (None when not accepted), and the bound carried
     over to the columns that come next.
     """
-    n = len(labels)
-    shifts = [n - 1 - labels.index(m) for m in members]
-    mask = sum(1 << s for s in shifts)
-    up = sum(int(f) << s for f, s in zip(flips, shifts))
-    is_up = (idx & mask) == up
-    up_idx, v_up = _slice(idx, amp, is_up, shifts)
-    keys, v_down = _slice(idx, amp, ~is_up, shifts)
-    if not np.array_equal(up_idx, keys):
-        # Lay both slices over their union.  (np.union1d would import
-        # numpy.ma, 1.7 MiB of resident memory, on first use.)
-        down_idx = keys
-        extra = down_idx[~np.isin(down_idx, up_idx, assume_unique=True)]
-        keys = np.sort(np.concatenate((up_idx, extra)))
-        v_up, v_down = _spread(keys, up_idx, v_up), _spread(keys, down_idx, v_down)
+    if idx is None:
+        # A full support peels singletons: halves of a view, copied in order.
+        halves = amp.reshape(2 ** labels.index(members[0]), 2, -1)
+        keys, v_up, v_down = None, halves[:, 0].copy(), halves[:, 1].copy()
+    else:
+        shifts = [len(labels) - 1 - labels.index(m) for m in members]
+        mask = sum(1 << s for s in shifts)
+        up = sum(int(f) << s for f, s in zip(flips, shifts))
+        is_up = (idx & mask) == up
+        up_idx, v_up = _slice(idx, amp, is_up, shifts)
+        keys, v_down = _slice(idx, amp, ~is_up, shifts)
+        if not np.array_equal(up_idx, keys):
+            # Lay both slices over their union.  (np.union1d would import
+            # numpy.ma, 1.7 MiB of resident memory, on first use.)
+            down_idx = keys
+            extra = down_idx[~np.isin(down_idx, up_idx, assume_unique=True)]
+            keys = np.sort(np.concatenate((up_idx, extra)))
+            v_up, v_down = _spread(keys, up_idx, v_up), _spread(keys, down_idx, v_down)
 
     n_up, n_down = float(np.linalg.norm(v_up)), float(np.linalg.norm(v_down))
+    if _gram_rejects(v_up, v_down, n_up, n_down, tol * (1.0 + cut) + _SQRT2 * cut):
+        return None, cut
     norm = float(np.hypot(n_up, n_down))
     n_pick, n_other = max(n_up, n_down), min(n_up, n_down)
     rest = (v_up if n_up >= n_down else v_down) / n_pick
@@ -216,9 +239,14 @@ def _peel(
 
     # What the factorization cannot explain: the non-parallel remainders,
     # from difference vectors, not norm differences, to dodge cancellation.
-    # They overwrite the slices, owned copies no longer needed.
-    v_up -= c_up * rest
-    v_down -= c_down * rest
+    # They overwrite the slices, owned copies no longer needed (full columns
+    # read them back from amp, which saves a temporary).
+    if idx is None:
+        np.subtract(halves[:, 0], np.multiply(c_up, rest, out=v_up), out=v_up)
+        np.subtract(halves[:, 1], np.multiply(c_down, rest, out=v_down), out=v_down)
+    else:
+        v_up -= c_up * rest
+        v_down -= c_down * rest
     err = float(np.hypot(np.linalg.norm(v_up), np.linalg.norm(v_down))) / norm
 
     # Moving the amplitudes by a relative distance d moves this error by at
@@ -238,7 +266,7 @@ def _peel(
         # kept one by the fit's error.
         c_other = abs(c_down if n_up >= n_down else c_up)
         cut = norm * (err + cut) / c_other if c_other > 0.0 else 1.0
-    return ((c_up, c_down), keys, rest), cut
+    return ((c_up, c_down), keys, rest.reshape(-1)), cut
 
 
 def find_clusters(
@@ -265,8 +293,8 @@ def find_clusters(
     reg = state.register
     n = len(reg)
     idx, amp, cut = _support(state, tol)
-    classes = _covariation_classes(idx, n, allow_relabeling)
-    first_column = int(idx[0])
+    classes = [[p] for p in range(n)] if idx is None else _covariation_classes(idx, n, allow_relabeling)
+    first_column = 0 if idx is None else int(idx[0])
 
     work_labels = list(reg.labels)
     clusters: list[CorrelationCluster] = []

@@ -35,13 +35,14 @@ sees a state in a frame through :func:`_frame_view`, which clears only the
 flags that differ from that frame, in register-position order, with the
 (lo ± hi)/√2 arithmetic of the dense kernel: on the support index, which at
 most doubles per flag, while it stays within the share, then on the dense
-vector.  Branch listing reads the frame of its selectors, cluster detection
-and :attr:`PureState.amplitudes` the Z frame, and the ready check the
-state's own frame with the observer's flag set to the basis.  The dense
-Z-frame vector, scattered anew on each access to ``amplitudes``, is read
-only by the dense oracle and :func:`approx_eq`.  No dense vector over more
-than ``DENSE_MAX_QUBITS`` qubits is built; asking for one raises
-:class:`DenseLimitError`.
+vector, the last ``_TAIL`` positions on a transposed copy.  Branch listing
+reads the frame of its selectors, cluster detection and
+:attr:`PureState.amplitudes` the Z frame, and the ready check the state's
+own frame with the observer's flag set to the basis (of a dense state, only
+the half it reads).  The dense Z-frame vector, scattered anew on each access
+to ``amplitudes``, is read only by the dense oracle and :func:`approx_eq`.
+No dense vector over more than ``DENSE_MAX_QUBITS`` qubits is built; asking
+for one raises :class:`DenseLimitError`.
 """
 from __future__ import annotations
 
@@ -67,12 +68,12 @@ SPARSE_SHARE = 1 / 16
 MAX_QUBITS = 63
 
 #: Most qubits a dense amplitude vector (16 · 2^n bytes) is built for.  The
-#: dense path's peak is about 4.1 times the vector (an X-basis corrected
-#: measurement rejecting its Z-frame environment: 4.06-4.07x measured by
-#: tracemalloc over the whole run at n = 18, 20, 22), so 24 qubits peak near
-#: 1 GiB, an eighth of an 8 GiB host.  The limit bounds vectors, not branch
-#: tables: listing every branch of a dense state holds about 33 times the
-#: vector in Python objects (same runs, a Z listing of the X-frame output).
+#: dense path's peak is about 2.5 times the vector (an X-basis corrected
+#: measurement rejecting its Z-frame environment: 2.50-2.51x measured by
+#: tracemalloc over the whole run at n = 16, 18, 20, 22), so 24 qubits peak
+#: near 640 MiB, under an eighth of an 8 GiB host.  The limit bounds vectors,
+#: not branch tables: listing every branch of a dense state holds about 33
+#: times the vector in Python objects (a Z listing of an X-frame output).
 DENSE_MAX_QUBITS = 24
 
 UP, DOWN, RIGHT, LEFT = "↑", "↓", "→", "←"
@@ -80,6 +81,10 @@ Z_SYMBOLS = (UP, DOWN)
 X_SYMBOLS = (RIGHT, LEFT)
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+#: The last register positions, rotated on a transposed copy: in place their
+#: short runs are slow (4-5.5 ms at 15-16 of 2^18 amplitudes, 0.9 ms at 0, 17).
+_TAIL = 5
 
 #: A basis choice is "Z" (computational ↑/↓) or "X" (→/←), given either as
 #: one string applied uniformly or as a mapping covering every register label.
@@ -483,7 +488,7 @@ def _rotated(
     exact zeros, as in the dense kernel, so both give the same bits.
     """
     limit = 2 ** min(n, DENSE_MAX_QUBITS) * SPARSE_SHARE
-    copied = False
+    head, copied = n - _TAIL, False
     for pos in range(n):
         shift = n - 1 - pos
         if not (mask >> shift) & 1:
@@ -497,9 +502,14 @@ def _rotated(
                 index, values = index[order], values[order]
                 continue
             index, values, copied = None, _scatter(n, index, values), True
+        if 0 < head <= pos < n - 1 and values.ndim == 1:
+            # A transposed copy from here on: the tail axes lead (the last is fast).
+            values, copied = values.reshape(2**head, -1).T.copy(), True
         elif not copied:
             values, copied = values.copy(), True
-        _rotate_axis(values, pos)
+        _rotate_axis(values, pos - head if values.ndim == 2 else pos)
+    if values.ndim == 2:
+        values = values.T.copy().reshape(-1)
     return index, values
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qmeasure import analysis
 from qmeasure.analysis import (
     INCONSISTENT,
     AgreementReport,
@@ -21,6 +22,7 @@ from qmeasure.analysis import (
 )
 from qmeasure.gates import imprint, rotate_basis, swap
 from qmeasure.protocol import (
+    EnvironmentNotGHZError,
     MeasurementOutcomeSpec,
     corrected_measure,
     run_scenario_appendix,
@@ -313,6 +315,22 @@ class TestAgreement:
         with pytest.raises(ValueError, match="unknown"):
             agreement(branch_decompose(state, "Z"), [("s", "nope")])
 
+    @pytest.mark.parametrize("small, listed", [(1e-13, False), (1e-12, False), (2e-12, True)])
+    def test_pruned_weight_is_missing_from_the_aggregates(self, small, listed):
+        # The agreeing branch |↑↑⟩ has amplitude ``small``: at or below the
+        # pruning threshold it is not listed and adds nothing to the aggregate.
+        big = np.sqrt(1.0 - small**2)
+        for basis in ("Z", "X"):
+            state = PureState(Register(("s", "o")), [small, big, 0.0, 0.0])
+            if basis == "X":
+                state = rotate_basis(rotate_basis(state, "s"), "o")
+            report = agreement(branch_decompose(state, basis), [("s", "o")])
+            assert len(report.rows) == (2 if listed else 1)
+            if listed:
+                assert abs(report.aggregates[0] - small**2) < 1e-30
+            else:
+                assert report.aggregates[0] == 0.0
+
 
 class TestRecoverRecord:
     def test_single_record_trivially_consistent(self, rng):
@@ -538,4 +556,194 @@ def test_dense_support_peak_memory_stays_near_state_size():
     finally:
         tracemalloc.stop()
     assert set(env) <= set(decomposition.residual)
-    assert peak <= 5 * state.amplitudes.nbytes
+    assert peak <= 3 * state.amplitudes.nbytes
+
+
+def test_x_rejection_of_a_z_frame_environment_peaks_near_state_size():
+    # The env_reject shape: s, o and a Z-frame GHZ environment, measured in
+    # X, so the check reads all 2^16 Z-frame amplitudes of the rotated state.
+    env = env_labels(14)
+    state = tensor(product_state(("s", "o"), [(0.6, 0.8j), (1, 2)]), make_ghz(env, (1, 1j)))
+    spec = MeasurementOutcomeSpec("s", "o", env, basis="X")
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnvironmentNotGHZError, match="carry no GHZ structure"):
+            corrected_measure(state, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * 2**16
+
+
+# Cluster detection on a full support: every one of the 2^n positions is a
+# column, the member halves come from a reshape view, and rejections are
+# decided from Gram entries where rounding cannot matter.
+
+
+def _peel_by_differences(v_up, v_down, tol, cut):
+    """Reference fit of two column slices from difference vectors: the
+    coefficients and normalized rest (None when not accepted), and the
+    carried cut."""
+    v_up, v_down = v_up.copy(), v_down.copy()
+    n_up, n_down = float(np.linalg.norm(v_up)), float(np.linalg.norm(v_down))
+    norm = float(np.hypot(n_up, n_down))
+    n_pick, n_other = max(n_up, n_down), min(n_up, n_down)
+    rest = (v_up if n_up >= n_down else v_down) / n_pick
+    c_up, c_down = complex(np.vdot(rest, v_up)), complex(np.vdot(rest, v_down))
+    v_up -= c_up * rest
+    v_down -= c_down * rest
+    err = float(np.hypot(np.linalg.norm(v_up), np.linalg.norm(v_down))) / norm
+    sqrt2 = 2.0**0.5
+    if err + sqrt2 * cut > tol * (1.0 - cut):
+        if err <= tol * (1.0 + cut) + sqrt2 * cut:
+            cut = max(cut, 1.0)
+        return None, cut
+    if n_pick - n_other > sqrt2 * cut * norm:
+        cut *= norm / n_pick
+    else:
+        c_other = abs(c_down if n_up >= n_down else c_up)
+        cut = norm * (err + cut) / c_other if c_other > 0.0 else 1.0
+    return ((c_up, c_down), rest), cut
+
+
+def _assert_same_peel(got, want):
+    (peeled, cut), (ref, ref_cut) = got, want
+    assert cut == ref_cut
+    assert (peeled is None) == (ref is None)
+    if ref is not None:
+        assert peeled[0] == ref[0]
+        assert peeled[2].tobytes() == ref[1].tobytes()
+
+
+def _full_support_amplitudes(gen, n, pos):
+    """A read-only random vector over n qubits: qubit ``pos`` in a product
+    factor, whose peel is accepted, with a generic state of the others,
+    whose peels are rejected when there are at least two of them."""
+    vec = gen.normal(size=(2, 2 ** (n - 1))) + 1j * gen.normal(size=(2, 2 ** (n - 1)))
+    vec[1] = vec[1, 0] * vec[0]
+    vec = np.moveaxis(vec.reshape([2] * n), 0, pos).reshape(-1)
+    vec /= np.linalg.norm(vec)
+    vec.setflags(write=False)
+    return vec
+
+
+class TestFullColumnPeel:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_reshape_slices_equal_index_slices(self, n, monkeypatch):
+        gen = np.random.default_rng(n)
+        labels = [f"q{i}" for i in range(n)]
+        seen = []
+
+        def spy(v_up, v_down, *args):
+            seen.append((v_up.tobytes(), v_down.tobytes()))
+            return gram_rejects(v_up, v_down, *args)
+
+        gram_rejects = analysis._gram_rejects
+        monkeypatch.setattr(analysis, "_gram_rejects", spy)
+        amp = _full_support_amplitudes(gen, n, int(gen.integers(0, n)))
+        for member in labels:
+            full = analysis._peel(labels, None, amp, [member], [False], 1e-9, 0.0)
+            indexed = analysis._peel(
+                labels, np.arange(2**n), amp, [member], [False], 1e-9, 0.0
+            )
+            assert seen[-2] == seen[-1]
+            (got, cut), (want, want_cut) = full, indexed
+            assert cut == want_cut and (got is None) == (want is None)
+            if want is not None:
+                assert got[0] == want[0] and got[1] is None
+                assert np.array_equal(want[1], np.arange(2 ** (n - 1)))
+                assert got[2].tobytes() == want[2].tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_peels_leave_the_columns_unchanged(self, n):
+        gen = np.random.default_rng(100 + n)
+        labels = [f"q{i}" for i in range(n)]
+        pos = int(gen.integers(0, n))
+        amp = _full_support_amplitudes(gen, n, pos)
+        before = amp.tobytes()
+        outcomes = []
+        for member in labels:
+            peeled, _ = analysis._peel(labels, None, amp, [member], [False], 1e-9, 0.0)
+            outcomes.append(peeled is not None)
+            assert amp.tobytes() == before
+        assert outcomes[pos]
+        assert n == 2 or not any(outcomes[:pos] + outcomes[pos + 1 :])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_full_support_classes_are_singletons(self, n):
+        # find_clusters skips the co-variation scan on a full support
+        for relabel in (False, True):
+            classes = analysis._covariation_classes(np.arange(2**n), n, relabel)
+            assert classes == [[p] for p in range(n)]
+
+
+class TestGramMargin:
+    TOL = 1e-9
+
+    @staticmethod
+    def slices(gen, size, err, up_heavier):
+        """v↑ and v↓ over ``size`` columns whose fit leaves relative error ``err``."""
+        u = gen.normal(size=size) + 1j * gen.normal(size=size)
+        w = gen.normal(size=size) + 1j * gen.normal(size=size)
+        u /= np.linalg.norm(u)
+        w -= np.vdot(u, w) * u
+        w /= np.linalg.norm(w)
+        # The heavier slice is the fitted rest; the lighter one leaves γ·w.
+        gamma = err / np.sqrt(1.0 - err**2)
+        heavy, light = 0.8 * u, 0.6 * np.exp(0.3j) * u + gamma * w
+        scale = np.sqrt(1.0 + gamma**2)
+        return (heavy / scale, light / scale) if up_heavier else (light / scale, heavy / scale)
+
+    def check(self, gen, size, err, cut, up_heavier, gram_decides):
+        v_up, v_down = self.slices(gen, size, err, up_heavier)
+        n_up, n_down = float(np.linalg.norm(v_up)), float(np.linalg.norm(v_down))
+        bound = self.TOL * (1.0 + cut) + 2.0**0.5 * cut
+        assert analysis._gram_rejects(v_up, v_down, n_up, n_down, bound) == gram_decides
+        want = _peel_by_differences(v_up, v_down, self.TOL, cut)
+        n = size.bit_length()
+        labels = [f"q{i}" for i in range(n)]
+        amp = np.concatenate((v_up, v_down))
+        amp.setflags(write=False)
+        for idx in (None, np.arange(2 * size)):
+            _assert_same_peel(
+                analysis._peel(labels, idx, amp, ["q0"], [False], self.TOL, cut), want
+            )
+        # a sparse index: the same columns next to a qubit that is always ↑
+        sparse = np.arange(2 * size) * 2
+        _assert_same_peel(
+            analysis._peel(labels + ["pad"], sparse, amp, ["q0"], [False], self.TOL, cut), want
+        )
+        return want
+
+    @pytest.mark.parametrize("size", [2, 16, 256])
+    @pytest.mark.parametrize("cut", [0.0, 3e-11, 2e-10])
+    @pytest.mark.parametrize("err", [1e-5, 1e-3, 0.3])
+    def test_decisive_rejections_match_the_difference_vectors(self, size, cut, err):
+        gen = np.random.default_rng(7)
+        for up_heavier in (True, False):
+            peeled, new_cut = self.check(gen, size, err, cut, up_heavier, gram_decides=True)
+            assert peeled is None and new_cut == cut
+
+    @pytest.mark.parametrize("size", [2, 16, 256])
+    @pytest.mark.parametrize("cut", [0.0, 3e-11, 2e-10])
+    @pytest.mark.parametrize("where", [0.0, 0.5, 0.999, 1.001, 1.5, 4.0])
+    def test_errors_near_the_bound_fall_back(self, size, cut, where):
+        # ``where`` places the error relative to the reject bound: accepted,
+        # rejected with the cut raised to 1, and rejected as it is.
+        gen = np.random.default_rng(8)
+        bound = self.TOL * (1.0 + cut) + 2.0**0.5 * cut
+        for up_heavier in (True, False):
+            peeled, new_cut = self.check(gen, size, where * bound, cut, up_heavier, False)
+            if where < 0.999 or (where < 1.0 and cut == 0.0):
+                assert peeled is not None
+            else:
+                assert peeled is None and new_cut == (cut if where > 1.0 else 1.0)
+
+    @pytest.mark.parametrize("size", [2, 16, 256])
+    def test_the_rounding_margin_separates_the_paths(self, size):
+        # Far above the bound, the squared error still has to clear the
+        # stated margin m = 16·(N + 3)·2⁻⁵³ before the Gram entries decide.
+        gen = np.random.default_rng(9)
+        margin = 16 * (size + 3) * 2.0**-53
+        for scale, gram_decides in ((0.5, False), (2.0, True)):
+            self.check(gen, size, scale * margin**0.5, 0.0, True, gram_decides)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qmeasure import protocol
 from qmeasure.analysis import (
     CorrelationLedger,
     NotClusterNormalError,
@@ -14,6 +15,8 @@ from qmeasure.protocol import (
     EnvironmentNotGHZError,
     MeasurementOutcomeSpec,
     ObserverNotReadyError,
+    check_environment,
+    check_ready,
     corrected_measure,
     corrected_script,
     ideal_measure,
@@ -33,6 +36,8 @@ from qmeasure.statevec import (
     branch_decompose,
     from_branches,
     make_ghz,
+    _framed,
+    _rotate_axis,
     product_state,
     tensor,
 )
@@ -259,6 +264,65 @@ class TestCorrectedMeasure:
             ledger_record(CorrelationLedger(), out, "after")
 
 
+class TestToleranceEdges:
+    """Environments at the edges of the detection tolerance."""
+
+    @staticmethod
+    def rotated(state):
+        return apply_script(state, [RotateBasis(lbl) for lbl in state.register.labels])
+
+    def assert_x_runs_the_rotated_z_procedure(self, state, n_env):
+        z_spec = MeasurementOutcomeSpec("s", "o", env_labels(n_env))
+        x_spec = MeasurementOutcomeSpec("s", "o", env_labels(n_env), "X")
+        out = corrected_measure(self.rotated(state), x_spec)
+        assert approx_eq(out, self.rotated(corrected_measure(state, z_spec)), 1e-12)
+
+    @pytest.mark.parametrize(
+        "chi, coefficients", [((1, 0), (1, 0)), ((0, 1), (0, 1)), ((1, 1e-10), (1, 0))]
+    )
+    def test_zero_ghz_coefficient_takes_the_degenerate_path(self, rng, chi, coefficients):
+        # A coefficient at or below the cutoff leaves every environment qubit
+        # constant: the single-branch resource, returned exactly, in Z and X.
+        state, spec = corrected_setup(random_pair(rng), random_pair(rng), chi, 3)
+        got = check_environment(state, spec)
+        assert got == coefficients and all(type(c) is complex for c in got)
+        self.assert_x_runs_the_rotated_z_procedure(state, 3)
+
+    def test_ghz_coefficient_above_the_cutoff_is_one_cluster(self, rng):
+        state, spec = corrected_setup(random_pair(rng), random_pair(rng), (1, 1e-8), 3)
+        c_up, c_down = check_environment(state, spec)
+        assert abs(abs(c_up) - 1.0) < 1e-15 and abs(abs(c_down) - 1e-8) < 1e-20
+        self.assert_x_runs_the_rotated_z_procedure(state, 3)
+
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    @pytest.mark.parametrize("chi, anti", [((1, 0), False), ((0, 1), True), ((1, 1e-10), False)])
+    def test_n2_with_a_single_branch_environment_factors(self, rng, basis, chi, anti):
+        # With one environment branch and the observer ready, the coincident
+        # dump and copy slot stay unentangled: the non-generic N = 2 case.
+        psi = random_pair(rng, 0.1)
+        state, _ = corrected_setup(psi, (1, 0), chi, 2)
+        spec = MeasurementOutcomeSpec("s", "o", env_labels(2), basis)
+        if basis == "X":
+            state = self.rotated(state)
+        out = corrected_measure(state, spec)
+        if basis == "X":
+            out = self.rotated(out)
+        decomposition = find_clusters(out, allow_relabeling=True)
+        assert decomposition.residual == ()
+        assert [(c.members, c.flips) for c in decomposition.clusters] == [
+            (("s", "o"), (False, anti)),
+            (("e1",), (False,)),
+            (("e2",), (False,)),
+        ]
+        pair = np.array(decomposition.clusters[0].coefficients)
+        assert abs(abs(np.vdot(pair / np.linalg.norm(pair), normalized(psi))) - 1.0) < 1e-12
+
+    def test_n2_with_a_coefficient_above_the_cutoff_is_unledgered(self, rng):
+        state, spec = corrected_setup(random_pair(rng, 0.1), (1, 0), (1, 1e-8), 2)
+        decomposition = find_clusters(corrected_measure(state, spec), allow_relabeling=True)
+        assert set(decomposition.residual) == {"s", "o", "e1"}
+
+
 def script_matrix(script, register):
     """Dense matrix of a gate script: the last gate's matrix on the left."""
     total = np.eye(2 ** len(register), dtype=np.complex128)
@@ -392,6 +456,30 @@ class TestIdealMeasure:
         state = tensor(correlated_pair(("s", "o"), random_pair(rng, 0.1)), basis_state(("x",), "↑"))
         with pytest.raises(ObserverNotReadyError):
             ideal_measure(state, "x", "o", "Z")
+
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_dense_ready_check_reads_the_full_rotation(self, n, monkeypatch):
+        # The off-ready norm equals, to the bit, the norm of the observer's ↓
+        # half after rotating the whole vector: READY_TOL at that norm passes
+        # and one ulp below it fails.
+        gen = np.random.default_rng(n)
+        labels = tuple(f"q{i}" for i in range(n))
+        for _ in range(4):
+            vec = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
+            frame = int(gen.integers(0, 2**n))
+            state = _framed(Register(labels), None, vec / np.linalg.norm(vec), frame)
+            pos = int(gen.integers(0, n))
+            for basis in ("Z", "X"):
+                flagged = (frame >> (n - 1 - pos)) & 1
+                rotated = state._values.copy()
+                if flagged != (basis == "X"):
+                    _rotate_axis(rotated, pos)
+                off = float(np.linalg.norm(rotated.reshape(2**pos, 2, -1)[:, 1]))
+                monkeypatch.setattr(protocol, "READY_TOL", off)
+                check_ready(state, labels[pos], basis)
+                monkeypatch.setattr(protocol, "READY_TOL", np.nextafter(off, 0.0))
+                with pytest.raises(ObserverNotReadyError, match=f"by {off:.3e};"):
+                    check_ready(state, labels[pos], basis)
 
 
 class ScenarioOracle:

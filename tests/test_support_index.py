@@ -167,6 +167,27 @@ def dense_twin_step(plain: PureState, kernel, operands) -> PureState:
     return kernel(plain, *operands)
 
 
+@pytest.mark.parametrize("n", range(1, 12))
+def test_views_rotate_like_the_in_place_kernel_to_the_bit(n):
+    # The sparse phase and the last positions, rotated on a transposed copy,
+    # give the bits of the in-place kernel applied in register order.
+    gen = np.random.default_rng(n)
+    dense = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
+    index = np.sort(gen.choice(2**n, size=max(1, 2**n // 16), replace=False))
+    sparse = dense[index]
+    dense.setflags(write=False)
+    for mask in {2**n - 1, 1, *(int(m) for m in gen.integers(0, 2**n, size=6))}:
+        for idx, values in ((None, dense), (index, sparse)):
+            want = dense.copy() if idx is None else statevec._scatter(n, idx, values)
+            for pos in range(n):
+                if (mask >> (n - 1 - pos)) & 1:
+                    statevec._rotate_axis(want, pos)
+            got_idx, got = statevec._rotated(n, idx, values, mask)
+            if got_idx is not None:
+                got = statevec._scatter(n, got_idx, got)
+            assert got.tobytes() == want.tobytes()
+
+
 def _ready_offs(state: PureState) -> list:
     """Per label and basis: None when the observer is ready, else its off-ready norm."""
     offs = []
