@@ -175,10 +175,9 @@ def _spread(keys: np.ndarray, sub: np.ndarray, values: np.ndarray) -> np.ndarray
 
 
 def _gram_rejects(a: np.ndarray, b: np.ndarray, n_a: float, n_b: float, bound: float) -> bool:
-    """Whether ‖a‖², ‖b‖² and ⟨a|b⟩ prove the fit error of slices a, b over N
-    columns above ``bound`` (past which ``_peel`` rejects and keeps its cut):
-    their squared error, and the difference-vector one, lie within
-    m = 16·(N + 3)·2⁻⁵³ of the exact error, so it must clear (bound + m)² + m."""
+    """Whether ‖a‖², ‖b‖², ⟨a|b⟩ prove the fit error of slices a, b (N columns) above
+    ``bound``, past which ``_peel`` rejects: this estimate and the difference-vector
+    one lie within m = 16·(N + 3)·2⁻⁵³ of the exact error, so this one must clear (bound + m)² + m."""
     margin = 2.0**-49 * (a.size + 3)
     n_pick, n_other = max(n_a, n_b), min(n_a, n_b)
     gram = abs(complex(np.vdot(a, b))) / n_pick
@@ -197,13 +196,12 @@ def _peel(
 ) -> tuple[tuple[tuple[complex, complex], np.ndarray | None, np.ndarray] | None, float]:
     """Try to factor the columns as (Σ_k c_k |k…k⟩ over members) ⊗ rest.
 
-    ``idx``/``amp`` are the sorted support columns over ``labels`` (``idx``
-    None: all 2^n positions); ``amp`` is not written.  Every column carries
-    the members in the up or the down pattern, since the co-variation classes
-    were read off these columns.  ``cut`` bounds, relative to the columns'
-    norm, how far the uncut state they stand for lies from them; the factor is
-    accepted when its relative reconstruction error stays within ``tol`` even
-    at that distance.
+    ``idx``/``amp`` are the sorted support columns over ``labels`` (idx None:
+    all 2^n), left unwritten.  Every column carries the members in the up or
+    the down pattern, since the co-variation classes were read off these
+    columns.  ``cut`` bounds, relative to the columns' norm, how far the uncut
+    state they stand for lies from them; the factor is accepted when its
+    relative reconstruction error stays within ``tol`` even at that distance.
 
     Returns the coefficients and the normalized rest as sorted columns over
     the remaining labels (None when not accepted), and the bound carried

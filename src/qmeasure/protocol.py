@@ -33,7 +33,7 @@ import numpy as np
 
 from . import analysis
 from .gates import GateOp, Imprint, InverseImprint, RotateBasis, Swap, apply_script
-from .statevec import _INV_SQRT2, PureState, _frame_view, product_state
+from .statevec import PureState, _frame_view, product_state
 
 #: Runs a gate script on a state: the strided kernels or the dense oracle.
 Executor = Callable[[PureState, Sequence[GateOp]], PureState]
@@ -225,20 +225,18 @@ def check_ready(state: PureState, observer: str, basis: str) -> None:
     it is read in the state's own frame with the observer's flag set to the
     basis: the norm of the amplitudes whose observer bit is set.  A state
     holding only its support index is checked on that index and stays
-    sparse; a dense one has only that half rotated.
+    sparse.
     """
     pos = state.register.position(observer)
     if basis not in ("Z", "X"):
         raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
     bit = 1 << (state.n_qubits - 1 - pos)
     frame = state._frame | bit if basis == "X" else state._frame & ~bit
-    if state._index is None and frame != state._frame:
-        halves = state._values.reshape(2**pos, 2, -1)
-        off_ready = (halves[:, 0] - halves[:, 1]) * _INV_SQRT2
+    index, values = _frame_view(state, frame)
+    if index is None:
+        off = float(np.linalg.norm(values.reshape(2**pos, 2, -1)[:, 1]))
     else:
-        index, values = _frame_view(state, frame)
-        off_ready = values.reshape(2**pos, 2, -1)[:, 1] if index is None else values[(index & bit) != 0]
-    off = float(np.linalg.norm(off_ready))
+        off = float(np.linalg.norm(values[(index & bit) != 0]))
     ready = "↑" if basis == "Z" else "→"
     if off > READY_TOL:
         raise ObserverNotReadyError(

@@ -35,14 +35,13 @@ sees a state in a frame through :func:`_frame_view`, which clears only the
 flags that differ from that frame, in register-position order, with the
 (lo ± hi)/√2 arithmetic of the dense kernel: on the support index, which at
 most doubles per flag, while it stays within the share, then on the dense
-vector, the last ``_TAIL`` positions on a transposed copy.  Branch listing
-reads the frame of its selectors, cluster detection and
-:attr:`PureState.amplitudes` the Z frame, and the ready check the state's
-own frame with the observer's flag set to the basis (of a dense state, only
-the half it reads).  The dense Z-frame vector, scattered anew on each access
-to ``amplitudes``, is read only by the dense oracle and :func:`approx_eq`.
-No dense vector over more than ``DENSE_MAX_QUBITS`` qubits is built; asking
-for one raises :class:`DenseLimitError`.
+vector, short-run axes on transposed blocks.  Branch listing reads the
+frame of its selectors, cluster detection and :attr:`PureState.amplitudes`
+the Z frame, and the ready check the state's own frame with the observer's
+flag set to the basis.  The dense Z-frame vector, scattered anew on each
+access to ``amplitudes``, is read only by the dense oracle and
+:func:`approx_eq`.  No dense vector over more than ``DENSE_MAX_QUBITS``
+qubits is built; asking for one raises :class:`DenseLimitError`.
 """
 from __future__ import annotations
 
@@ -68,12 +67,12 @@ SPARSE_SHARE = 1 / 16
 MAX_QUBITS = 63
 
 #: Most qubits a dense amplitude vector (16 · 2^n bytes) is built for.  The
-#: dense path's peak is about 2.5 times the vector (an X-basis corrected
-#: measurement rejecting its Z-frame environment: 2.50-2.51x measured by
-#: tracemalloc over the whole run at n = 16, 18, 20, 22), so 24 qubits peak
-#: near 640 MiB, under an eighth of an 8 GiB host.  The limit bounds vectors,
-#: not branch tables: listing every branch of a dense state holds about 33
-#: times the vector in Python objects (a Z listing of an X-frame output).
+#: dense path's peak is 2.5 times the vector plus a few KiB (an X-basis
+#: corrected measurement rejecting its Z-frame environment: 2.5001-2.5047x
+#: measured by tracemalloc over the whole run at n = 22 down to 16), so 24
+#: qubits peak near 640 MiB, under an eighth of an 8 GiB host.  The limit
+#: bounds vectors, not branch tables: listing every branch of a dense state
+#: holds about 33 times the vector in Python objects (a Z listing).
 DENSE_MAX_QUBITS = 24
 
 UP, DOWN, RIGHT, LEFT = "↑", "↓", "→", "←"
@@ -82,9 +81,9 @@ X_SYMBOLS = (RIGHT, LEFT)
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-#: The last register positions, rotated on a transposed copy: in place their
-#: short runs are slow (4-5.5 ms at 15-16 of 2^18 amplitudes, 0.9 ms at 0, 17).
-_TAIL = 5
+#: In place, halves of 2 to _SHORT_RUN - 1 amplitudes rotate slowly, numpy stepping
+#: a few at a time; the dense phase rotates them on transposed 512 KiB row blocks.
+_SHORT_RUN, _BLOCK_ROWS = 32, 1024
 
 #: A basis choice is "Z" (computational ↑/↓) or "X" (→/←), given either as
 #: one string applied uniformly or as a mapping covering every register label.
@@ -488,7 +487,7 @@ def _rotated(
     exact zeros, as in the dense kernel, so both give the same bits.
     """
     limit = 2 ** min(n, DENSE_MAX_QUBITS) * SPARSE_SHARE
-    head, copied = n - _TAIL, False
+    copied = False
     for pos in range(n):
         shift = n - 1 - pos
         if not (mask >> shift) & 1:
@@ -502,14 +501,19 @@ def _rotated(
                 index, values = index[order], values[order]
                 continue
             index, values, copied = None, _scatter(n, index, values), True
-        if 0 < head <= pos < n - 1 and values.ndim == 1:
-            # A transposed copy from here on: the tail axes lead (the last is fast).
-            values, copied = values.reshape(2**head, -1).T.copy(), True
         elif not copied:
             values, copied = values.copy(), True
-        _rotate_axis(values, pos - head if values.ndim == 2 else pos)
-    if values.ndim == 2:
-        values = values.T.copy().reshape(-1)
+        if 1 < 2**shift < _SHORT_RUN < values.size:
+            # Pairs from here on lie within rows: transposed, their runs are long.
+            rows = values.reshape(-1, _SHORT_RUN)
+            for block in np.split(rows, range(_BLOCK_ROWS, len(rows), _BLOCK_ROWS)):
+                moved = block.T.copy()
+                for p in range(pos, n):
+                    if (mask >> (n - 1 - p)) & 1:
+                        _rotate_axis(moved, p - n + _SHORT_RUN.bit_length() - 1)
+                block[...] = moved.T
+            break
+        _rotate_axis(values, pos)
     return index, values
 
 

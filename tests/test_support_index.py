@@ -167,10 +167,11 @@ def dense_twin_step(plain: PureState, kernel, operands) -> PureState:
     return kernel(plain, *operands)
 
 
-@pytest.mark.parametrize("n", range(1, 12))
+@pytest.mark.parametrize("n", [*range(1, 12), 17])
 def test_views_rotate_like_the_in_place_kernel_to_the_bit(n):
-    # The sparse phase and the last positions, rotated on a transposed copy,
-    # give the bits of the in-place kernel applied in register order.
+    # The sparse phase and the last positions, rotated on transposed blocks
+    # (four of them at n = 17), give the bits of the in-place kernel applied
+    # in register order.
     gen = np.random.default_rng(n)
     dense = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
     index = np.sort(gen.choice(2**n, size=max(1, 2**n // 16), replace=False))
