@@ -10,8 +10,9 @@ branch structure suggests:
 1. group subsystems whose computational bits co-vary over every branch of
    the state's support (equal everywhere, or opposite everywhere in
    relabeling mode) into candidate clusters;
-2. try to factor each candidate out of the state; candidates that do not
-   factor cleanly are moved to the residual.
+2. try to factor each candidate out of the support columns, which keep their
+   register positions with the bits of factored members cleared; candidates
+   that do not factor cleanly are moved to the residual.
 
 The integer correlation measure of a cluster is its member count minus one
 when both coefficients are live, else zero; ledger snapshots track how that
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevec import BranchSet, PureState, _frame_view
+from .statevec import BranchSet, PureState, _frame_view, _halves
 
 #: Default detection tolerance.  Two roles: the support cutoff on
 #: |amplitude|, and the relative 2-norm reconstruction error accepted per
@@ -153,27 +154,6 @@ def _covariation_classes(idx: np.ndarray, n: int, allow_relabeling: bool) -> lis
     return list(classes.values())
 
 
-def _slice(
-    idx: np.ndarray, amp: np.ndarray, keep: np.ndarray, shifts: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The columns selected by ``keep``, with the bits at ``shifts`` removed.
-
-    The kept columns share their values at ``shifts``, so the shortened
-    indices stay sorted and distinct.
-    """
-    sub = idx[keep]
-    for s in sorted(shifts, reverse=True):
-        sub = ((sub >> (s + 1)) << s) | (sub & ((1 << s) - 1))
-    return sub, amp[keep]
-
-
-def _spread(keys: np.ndarray, sub: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Values at the sorted indices ``sub``, laid out over ``keys`` with zeros."""
-    out = np.zeros(keys.size, dtype=np.complex128)
-    out[np.searchsorted(keys, sub)] = values
-    return out
-
-
 def _gram_rejects(a: np.ndarray, b: np.ndarray, n_a: float, n_b: float, bound: float) -> bool:
     """Whether ‖a‖², ‖b‖², ⟨a|b⟩ prove the fit error of slices a, b (N columns) above
     ``bound``, past which ``_peel`` rejects: this estimate and the difference-vector
@@ -186,45 +166,43 @@ def _gram_rejects(a: np.ndarray, b: np.ndarray, n_a: float, n_b: float, bound: f
 
 
 def _peel(
-    labels: list[str],
     idx: np.ndarray | None,
     amp: np.ndarray,
-    members: list[str],
+    shifts: list[int],
     flips: list[bool],
     tol: float,
     cut: float,
 ) -> tuple[tuple[tuple[complex, complex], np.ndarray | None, np.ndarray] | None, float]:
     """Try to factor the columns as (Σ_k c_k |k…k⟩ over members) ⊗ rest.
 
-    ``idx``/``amp`` are the sorted support columns over ``labels`` (idx None:
-    all 2^n), left unwritten.  Every column carries the members in the up or
-    the down pattern, since the co-variation classes were read off these
-    columns.  ``cut`` bounds, relative to the columns' norm, how far the uncut
-    state they stand for lies from them; the factor is accepted when its
-    relative reconstruction error stays within ``tol`` even at that distance.
+    The members own the bits ``1 << s`` for s in ``shifts``.  ``idx``/``amp``
+    are the sorted support columns at their register positions, the bits of
+    members peeled before cleared, left unwritten; idx None stands for every
+    position of the qubits not yet peeled, which then go in register order.
+    Every column carries the members in the up or the down pattern, since
+    the co-variation classes were read off these columns.  ``cut`` bounds,
+    relative to the columns' norm, how far the uncut state they stand for
+    lies from them; the factor is accepted when its relative reconstruction
+    error stays within ``tol`` even at that distance.
 
-    Returns the coefficients and the normalized rest as sorted columns over
-    the remaining labels (None when not accepted), and the bound carried
-    over to the columns that come next.
+    Returns the coefficients and the normalized rest as sorted columns with
+    the members' bits cleared (None when not accepted), and the bound
+    carried over to the columns that come next.
     """
     if idx is None:
         # A full support peels singletons: halves of a view, copied in order.
-        halves = amp.reshape(2 ** labels.index(members[0]), 2, -1)
+        halves = amp.reshape(-1, 2, 1 << shifts[0])
         keys, v_up, v_down = None, halves[:, 0].copy(), halves[:, 1].copy()
     else:
-        shifts = [len(labels) - 1 - labels.index(m) for m in members]
+        # Clearing bits that are constant within a half keeps its order.
         mask = sum(1 << s for s in shifts)
         up = sum(int(f) << s for f, s in zip(flips, shifts))
         is_up = (idx & mask) == up
-        up_idx, v_up = _slice(idx, amp, is_up, shifts)
-        keys, v_down = _slice(idx, amp, ~is_up, shifts)
-        if not np.array_equal(up_idx, keys):
-            # Lay both slices over their union.  (np.union1d would import
-            # numpy.ma, 1.7 MiB of resident memory, on first use.)
-            down_idx = keys
-            extra = down_idx[~np.isin(down_idx, up_idx, assume_unique=True)]
-            keys = np.sort(np.concatenate((up_idx, extra)))
-            v_up, v_down = _spread(keys, up_idx, v_up), _spread(keys, down_idx, v_down)
+        keys = idx[is_up] & ~mask
+        if np.array_equal(keys, idx[~is_up] & ~mask):
+            v_up, v_down = amp[is_up], amp[~is_up]
+        else:
+            keys, v_up, v_down = _halves(idx, amp, mask, up)
 
     n_up, n_down = float(np.linalg.norm(v_up)), float(np.linalg.norm(v_down))
     if _gram_rejects(v_up, v_down, n_up, n_down, tol * (1.0 + cut) + _SQRT2 * cut):
@@ -294,20 +272,19 @@ def find_clusters(
     classes = [[p] for p in range(n)] if idx is None else _covariation_classes(idx, n, allow_relabeling)
     first_column = 0 if idx is None else int(idx[0])
 
-    work_labels = list(reg.labels)
     clusters: list[CorrelationCluster] = []
     residual: list[str] = []
 
     for group in classes:
         members = [reg.labels[p] for p in group]
-        bits = [(first_column >> (n - 1 - p)) & 1 for p in group]
+        shifts = [n - 1 - p for p in group]
+        bits = [(first_column >> s) & 1 for s in shifts]
         flips = [b != bits[0] for b in bits]
-        peeled, cut = _peel(work_labels, idx, amp, members, flips, tol, cut)
+        peeled, cut = _peel(idx, amp, shifts, flips, tol, cut)
         if peeled is None:
             residual.extend(members)
             continue
         coeffs, idx, amp = peeled
-        work_labels = [lbl for lbl in work_labels if lbl not in members]
         clusters.append(CorrelationCluster(tuple(members), coeffs, tuple(flips)))
 
     if clusters and not residual:

@@ -1,7 +1,7 @@
 """Command line front end: run, validate, or oracle-check scenario files.
 
-Exit codes: 0 on success, 1 for scenario (file or document) errors, 2 for a
-step that failed at run time.
+Exit codes: 0 on success, 1 for scenario (file or document) errors and for
+an ``--out`` path that cannot be written, 2 for a step that failed at run time.
 """
 from __future__ import annotations
 
@@ -59,6 +59,8 @@ def _load(path: str) -> Scenario:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError("bad-structure", f"cannot read {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError("syntax", f"{path!r} is not UTF-8 text (byte {exc.start})") from None
     return parse_scenario(text)
 
 
@@ -73,17 +75,12 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     return replace(scenario, options=options)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         scenario = _load(args.file)
+        if args.command != "validate":
+            scenario = _apply_overrides(scenario, args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO_ERROR
@@ -92,12 +89,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"scenario valid: {len(scenario.register)} subsystems, {len(scenario.script)} steps")
         return EXIT_OK
 
-    try:
-        scenario = _apply_overrides(scenario, args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO_ERROR
-
     engine = "oracle" if args.command == "oracle" else "gates"
     try:
         report = run(scenario, engine=engine)
@@ -105,7 +96,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STEP_ERROR
 
-    _emit(report.render_text() if args.format == "text" else report.render_json(), args.out)
+    text = report.render_text() if args.format == "text" else report.render_json()
+    if args.out is None:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        Path(args.out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {args.out!r}: {exc.strerror}", file=sys.stderr)
+        return EXIT_SCENARIO_ERROR
     return EXIT_OK
 
 

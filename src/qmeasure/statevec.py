@@ -453,23 +453,22 @@ def _rotate_axis(arr: np.ndarray, pos: int) -> None:
     np.multiply(total, _INV_SQRT2, out=lo)
 
 
-def _pairs(
-    index: np.ndarray, values: np.ndarray, shift: int
+def _halves(
+    index: np.ndarray, values: np.ndarray, mask: int, up: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pair up a support index along the bit ``1 << shift``.
+    """Pair up a support index along the bits in ``mask``.
 
-    Returns the sorted positions with that bit cleared, and the amplitudes at
-    each of them (lo) and at its partner with the bit set (hi), exact zeros
-    where a position is not indexed.
+    Returns the sorted positions with those bits cleared, and the amplitudes
+    at each of them with the bits set as in ``up`` (the up half) and at its
+    partner in the other half, exact zeros where a position is not indexed.
     """
-    bit = 1 << shift
-    keys, slot = np.unique(index & ~bit, return_inverse=True)
-    high = (index & bit) != 0
-    lo = np.zeros(keys.size, dtype=np.complex128)
-    hi = np.zeros(keys.size, dtype=np.complex128)
-    lo[slot[~high]] = values[~high]
-    hi[slot[high]] = values[high]
-    return keys, lo, hi
+    keys, slot = np.unique(index & ~mask, return_inverse=True)
+    is_up = (index & mask) == up
+    v_up = np.zeros(keys.size, dtype=np.complex128)
+    v_down = np.zeros(keys.size, dtype=np.complex128)
+    v_up[slot[is_up]] = values[is_up]
+    v_down[slot[~is_up]] = values[~is_up]
+    return keys, v_up, v_down
 
 
 def _rotated(
@@ -493,7 +492,7 @@ def _rotated(
         if not (mask >> shift) & 1:
             continue
         if index is not None:
-            keys, lo, hi = _pairs(index, values, shift)
+            keys, lo, hi = _halves(index, values, 1 << shift, 0)
             if 2 * keys.size <= limit:
                 index = np.concatenate((keys, keys | (1 << shift)))
                 values = np.concatenate(((lo + hi) * _INV_SQRT2, (lo - hi) * _INV_SQRT2))

@@ -631,7 +631,6 @@ class TestFullColumnPeel:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_reshape_slices_equal_index_slices(self, n, monkeypatch):
         gen = np.random.default_rng(n)
-        labels = [f"q{i}" for i in range(n)]
         seen = []
 
         def spy(v_up, v_down, *args):
@@ -641,29 +640,27 @@ class TestFullColumnPeel:
         gram_rejects = analysis._gram_rejects
         monkeypatch.setattr(analysis, "_gram_rejects", spy)
         amp = _full_support_amplitudes(gen, n, int(gen.integers(0, n)))
-        for member in labels:
-            full = analysis._peel(labels, None, amp, [member], [False], 1e-9, 0.0)
-            indexed = analysis._peel(
-                labels, np.arange(2**n), amp, [member], [False], 1e-9, 0.0
-            )
+        for shift in reversed(range(n)):
+            full = analysis._peel(None, amp, [shift], [False], 1e-9, 0.0)
+            indexed = analysis._peel(np.arange(2**n), amp, [shift], [False], 1e-9, 0.0)
             assert seen[-2] == seen[-1]
             (got, cut), (want, want_cut) = full, indexed
             assert cut == want_cut and (got is None) == (want is None)
             if want is not None:
                 assert got[0] == want[0] and got[1] is None
-                assert np.array_equal(want[1], np.arange(2 ** (n - 1)))
+                positions = np.arange(2**n)
+                assert np.array_equal(want[1], positions[positions & (1 << shift) == 0])
                 assert got[2].tobytes() == want[2].tobytes()
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_peels_leave_the_columns_unchanged(self, n):
         gen = np.random.default_rng(100 + n)
-        labels = [f"q{i}" for i in range(n)]
         pos = int(gen.integers(0, n))
         amp = _full_support_amplitudes(gen, n, pos)
         before = amp.tobytes()
         outcomes = []
-        for member in labels:
-            peeled, _ = analysis._peel(labels, None, amp, [member], [False], 1e-9, 0.0)
+        for shift in reversed(range(n)):
+            peeled, _ = analysis._peel(None, amp, [shift], [False], 1e-9, 0.0)
             outcomes.append(peeled is not None)
             assert amp.tobytes() == before
         assert outcomes[pos]
@@ -700,18 +697,15 @@ class TestGramMargin:
         bound = self.TOL * (1.0 + cut) + 2.0**0.5 * cut
         assert analysis._gram_rejects(v_up, v_down, n_up, n_down, bound) == gram_decides
         want = _peel_by_differences(v_up, v_down, self.TOL, cut)
-        n = size.bit_length()
-        labels = [f"q{i}" for i in range(n)]
+        shift = size.bit_length() - 1
         amp = np.concatenate((v_up, v_down))
         amp.setflags(write=False)
         for idx in (None, np.arange(2 * size)):
-            _assert_same_peel(
-                analysis._peel(labels, idx, amp, ["q0"], [False], self.TOL, cut), want
-            )
+            _assert_same_peel(analysis._peel(idx, amp, [shift], [False], self.TOL, cut), want)
         # a sparse index: the same columns next to a qubit that is always ↑
         sparse = np.arange(2 * size) * 2
         _assert_same_peel(
-            analysis._peel(labels + ["pad"], sparse, amp, ["q0"], [False], self.TOL, cut), want
+            analysis._peel(sparse, amp, [shift + 1], [False], self.TOL, cut), want
         )
         return want
 

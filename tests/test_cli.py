@@ -529,6 +529,23 @@ class TestCliProcess:
         result = self.run_cli("run", "no_such_scenario.json")
         assert result.returncode == 1
 
+    @pytest.mark.parametrize("command", ["run", "validate", "oracle"])
+    def test_non_utf8_file_is_a_syntax_error(self, tmp_path, command):
+        path = tmp_path / "f.json"
+        path.write_bytes(b"\xff\xfe")
+        result = self.run_cli(command, str(path))
+        assert result.returncode == 1
+        assert "[syntax]" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_out_into_a_missing_directory_exit_code(self, tmp_path):
+        out = tmp_path / "missing" / "report.txt"
+        result = self.run_cli("run", str(SCENARIOS / "basic_measurement.json"), "--out", str(out))
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: cannot write {str(out)!r}: ")
+        assert "Traceback" not in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_step_error_exit_code(self, tmp_path):
         doc = {
             "subsystems": [

@@ -189,6 +189,37 @@ def test_views_rotate_like_the_in_place_kernel_to_the_bit(n):
             assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 8),
+    layout=st.sampled_from(["equal keys", "mixed", "up half only", "down half only"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_halves_match_a_dense_reference(data, n, layout, seed):
+    # Both halves laid over the sorted positions with the mask bits cleared,
+    # read off the dense vector at those positions with the up and the down
+    # pattern set: exact zeros where a half has no column.
+    shifts = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n), unique=True))
+    mask = sum(1 << s for s in shifts)
+    up = sum(data.draw(st.booleans()) << s for s in shifts)
+    down = up ^ mask
+    free = [p for p in range(2**n) if not p & mask]
+    keys = sorted(data.draw(st.lists(st.sampled_from(free), min_size=1, unique=True)))
+    both, one = [(up, down)], [(up,), (down,)]
+    choices = {"equal keys": both, "mixed": both + one, "up half only": one[:1]}
+    patterns = [data.draw(st.sampled_from(choices.get(layout, one[1:]))) for _ in keys]
+    index = np.array(sorted(k | p for k, pats in zip(keys, patterns) for p in pats), dtype=np.int64)
+    gen = np.random.default_rng(seed)
+    values = gen.normal(size=index.size) + 1j * gen.normal(size=index.size)
+    dense = statevec._scatter(n, index, values)
+
+    got_keys, v_up, v_down = statevec._halves(index, values, mask, up)
+    assert got_keys.dtype == np.int64 and got_keys.tolist() == keys
+    assert v_up.tobytes() == dense[got_keys | up].tobytes()
+    assert v_down.tobytes() == dense[got_keys | down].tobytes()
+
+
 def _ready_offs(state: PureState) -> list:
     """Per label and basis: None when the observer is ready, else its off-ready norm."""
     offs = []
