@@ -14,6 +14,9 @@ branch structure suggests:
    register positions with the bits of factored members cleared; candidates
    that do not factor cleanly are moved to the residual.
 
+A state with basis flags, H^frame · φ, is read off the factors of its stored
+amplitudes φ first, and its Z view only where they do not decide it.
+
 The integer correlation measure of a cluster is its member count minus one
 when both coefficients are live, else zero; ledger snapshots track how that
 resource moves through a measurement procedure.
@@ -25,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevec import BranchSet, PureState, _frame_view, _halves
+from .statevec import DENSE_MAX_QUBITS, BranchSet, PureState, _frame_view, _framed, _halves
 
 #: Default detection tolerance.  Two roles: the support cutoff on
 #: |amplitude|, and the relative 2-norm reconstruction error accepted per
@@ -245,6 +248,81 @@ def _peel(
     return ((c_up, c_down), keys, rest.reshape(-1)), cut
 
 
+def _detect(
+    labels: Sequence[str], idx: np.ndarray | None, amp: np.ndarray, cut: float, tol: float,
+    allow_relabeling: bool,
+) -> tuple[list[CorrelationCluster], list[str], np.ndarray]:
+    """The two detection stages on support columns (see ``_support``): the
+    clusters in class order, the residual and the leftover columns."""
+    n = len(labels)
+    classes = [[p] for p in range(n)] if idx is None else _covariation_classes(idx, n, allow_relabeling)
+    first_column = 0 if idx is None else int(idx[0])
+    clusters: list[CorrelationCluster] = []
+    residual: list[str] = []
+    for group in classes:
+        members = [labels[p] for p in group]
+        shifts = [n - 1 - p for p in group]
+        bits = [(first_column >> s) & 1 for s in shifts]
+        flips = [b != bits[0] for b in bits]
+        peeled, cut = _peel(idx, amp, shifts, flips, tol, cut)
+        if peeled is None:
+            residual.extend(members)
+            continue
+        coeffs, idx, amp = peeled
+        clusters.append(CorrelationCluster(tuple(members), coeffs, tuple(flips)))
+    return clusters, residual, amp
+
+
+def _factored(
+    state: PureState, tol: float, allow_relabeling: bool
+) -> tuple[list[CorrelationCluster], list[str]] | None:
+    """The clusters and residual of the state's Z view, read off the factors
+    of its stored amplitudes φ; None where they do not decide them."""
+    reg, frame, n = state.register, state._frame, state.n_qubits
+    try:
+        idx, amp, cut = _support(_framed(reg, state._index, state._values, 0), tol)
+    except ValueError:  # nothing above the cutoff
+        return None
+    if idx is None or cut:  # no multi-member factor, or amplitudes cut
+        return None
+    # φ lies within len(factors)·fit of the product of factors accepted within fit.
+    fit = 2.0**-49 * (amp.size + n + 3)
+    factors, residual, _ = _detect(reg.labels, idx, amp, 0.0, fit, allow_relabeling)
+    if residual:
+        return None
+    rejected, others, low = [], [], 1.0
+    for factor in factors:
+        flags = [(frame >> (n - 1 - reg.position(m))) & 1 for m in factor.members]
+        k, c = sum(flags), np.array(factor.coefficients) / np.hypot(*np.abs(factor.coefficients))
+        w = 2.0 ** (-k / 2) * np.abs([c[0] + c[1], c[0] - c[1]] if k == factor.size else c)
+        low *= w[w > 0].min()  # the factor's smallest nonzero modulus in the view
+        (rejected if factor.size > 1 and k else others).append((factor, flags, k, np.abs(c)))
+    # The view path's columns and cut stay within slack of the product's
+    # view (its peels renormalize by at most √2 each); margin is the relative
+    # rounding of its sums, as in _gram_rejects, on at most 2^24 columns.
+    # Below 2·tol, bound leaves the other factors' peels accepted.
+    slack = 4 * len(factors) * (len(others) + 1) * fit * 2.0 ** (len(others) / 2)
+    margin = 2.0**-49 * (2 ** min(n, DENSE_MAX_QUBITS) + 3)
+    bound = (tol * (1.0 + slack) + 3 * slack) / (1.0 - margin)
+    if not rejected or bound >= 2 * tol or low <= bound:
+        return None
+    if any(x.min() <= bound or x.max() <= 2.0 ** (0.5 - k / 2) + bound for *_, k, x in rejected):
+        return None
+    clusters: list[CorrelationCluster] = []
+    for factor, flags, _, _ in others:
+        m, c = factor.size, np.array(factor.coefficients)
+        if any(flags):  # the view of a flagged singleton
+            c = np.array([c[0] + c[1], c[0] - c[1]]) / _SQRT2
+        up, live = sum(int(f) << (m - 1 - j) for j, f in enumerate(factor.flips)), np.abs(c) > tol
+        index = np.array([up, (1 << m) - 1 - up])[live]
+        found, left, _ = _detect(factor.members, index, c[live], 0.0, tol, allow_relabeling)
+        if left:
+            return None
+        clusters += found
+    clusters.sort(key=lambda cluster: reg.position(cluster.members[0]))
+    return clusters, [m for factor, *_ in rejected for m in factor.members]
+
+
 def find_clusters(
     state: PureState,
     tol: float = DEFAULT_TOL,
@@ -265,39 +343,39 @@ def find_clusters(
     reconstruction error, so noise near the cutoff can move subsystems to
     the residual, but a cluster accepted here is one the uncut amplitudes
     factor within ``tol`` as well.
+
+    A state with basis flags, H^frame · φ, is first read off the factors of
+    its stored amplitudes φ, which H^frame maps to factors of the Z view.
+    A multi-member factor's Schmidt coefficient min(|c↑|, |c↓|)/‖c‖ is its
+    view's too and bounds from below the error of any peel that splits it;
+    were the view within ε of two branches, every |φ| on the factor would
+    be at most √2·2^(−k/2) + ε with k members flagged (the Walsh–Hadamard
+    form of the Donoho–Stark uncertainty principle).  A flagged factor
+    whose two bounds clear the peel's reject bound by a rounding margin goes
+    to the residual; the others, singletons or unflagged, are peeled on
+    their own views of at most two positions.  The view decides instead
+    when φ has a residual or cut amplitudes, when no factor is so rejected
+    or another flagged one is not, and when the view's smallest nonzero
+    modulus, the product of the factors' closed-form minima, does not clear
+    the cutoff by that margin.  The clusters are the view's either way,
+    coefficients up to rounding.
     """
     reg = state.register
-    n = len(reg)
-    idx, amp, cut = _support(state, tol)
-    classes = [[p] for p in range(n)] if idx is None else _covariation_classes(idx, n, allow_relabeling)
-    first_column = 0 if idx is None else int(idx[0])
-
-    clusters: list[CorrelationCluster] = []
-    residual: list[str] = []
-
-    for group in classes:
-        members = [reg.labels[p] for p in group]
-        shifts = [n - 1 - p for p in group]
-        bits = [(first_column >> s) & 1 for s in shifts]
-        flips = [b != bits[0] for b in bits]
-        peeled, cut = _peel(idx, amp, shifts, flips, tol, cut)
-        if peeled is None:
-            residual.extend(members)
-            continue
-        coeffs, idx, amp = peeled
-        clusters.append(CorrelationCluster(tuple(members), coeffs, tuple(flips)))
-
-    if clusters and not residual:
-        # amp is now the leftover scalar; fold its phase into the last
-        # cluster so the product of cluster states equals the input exactly.
-        phase = complex(amp[0])
-        last = clusters[-1]
-        clusters[-1] = CorrelationCluster(
-            last.members,
-            (last.coefficients[0] * phase, last.coefficients[1] * phase),
-            last.flips,
-        )
-
+    found = _factored(state, tol, allow_relabeling) if state._frame else None
+    if found is not None:
+        clusters, residual = found
+    else:
+        clusters, residual, amp = _detect(reg.labels, *_support(state, tol), tol, allow_relabeling)
+        if clusters and not residual:
+            # amp is now the leftover scalar; fold its phase into the last
+            # cluster so the product of cluster states equals the input exactly.
+            phase = complex(amp[0])
+            last = clusters[-1]
+            clusters[-1] = CorrelationCluster(
+                last.members,
+                (last.coefficients[0] * phase, last.coefficients[1] * phase),
+                last.flips,
+            )
     residual.sort(key=reg.position)
     return ClusterDecomposition(tuple(clusters), tuple(residual))
 

@@ -36,11 +36,11 @@ flags that differ from that frame, in register-position order, with the
 (lo ± hi)/√2 arithmetic of the dense kernel: on the support index, which at
 most doubles per flag, while it stays within the share, then on the dense
 vector, short-run axes on transposed blocks.  Branch listing reads the
-frame of its selectors, cluster detection and :attr:`PureState.amplitudes`
-the Z frame, and the ready check the state's own frame with the observer's
-flag set to the basis.  The dense Z-frame vector, scattered anew on each
-access to ``amplitudes``, is read only by the dense oracle and
-:func:`approx_eq`.  No dense vector over more than ``DENSE_MAX_QUBITS``
+frame of its selectors, :attr:`PureState.amplitudes` the Z frame, cluster
+detection the Z frame where the factors of φ do not decide it, and the
+ready check the state's own frame with the observer's flag set to the
+basis.  The dense Z-frame vector, scattered anew on each access to
+``amplitudes``, is read only by the dense oracle and :func:`approx_eq`.  No dense vector over more than ``DENSE_MAX_QUBITS``
 qubits is built; asking for one raises :class:`DenseLimitError`.
 """
 from __future__ import annotations
@@ -67,10 +67,10 @@ SPARSE_SHARE = 1 / 16
 MAX_QUBITS = 63
 
 #: Most qubits a dense amplitude vector (16 · 2^n bytes) is built for.  The
-#: dense path's peak is 2.5 times the vector plus a few KiB (an X-basis
-#: corrected measurement rejecting its Z-frame environment: 2.5001-2.5047x
-#: measured by tracemalloc over the whole run at n = 22 down to 16), so 24
-#: qubits peak near 640 MiB, under an eighth of an 8 GiB host.  The limit
+#: dense path peaks at 2.5 times the vector plus a few KiB, in cluster
+#: detection on a full-support view (2.5001-2.5047x by tracemalloc at
+#: n = 22 down to 16; the X rejection of a Z-frame GHZ builds no vector), so
+#: 24 qubits peak near 640 MiB, under an eighth of an 8 GiB host.  The limit
 #: bounds vectors, not branch tables: listing every branch of a dense state
 #: holds about 33 times the vector in Python objects (a Z listing).
 DENSE_MAX_QUBITS = 24

@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qmeasure import analysis, protocol, statevec
+from qmeasure.protocol import EnvironmentNotGHZError
 from qmeasure.statevec import PureState, Register
 
 
@@ -35,6 +37,69 @@ def assert_unchanged(state: PureState, stored: dict) -> None:
     same objects."""
     assert vars(state).keys() == stored.keys()
     assert all(vars(state)[key] is value for key, value in stored.items())
+
+
+@pytest.fixture
+def no_dense_builds(monkeypatch):
+    """Fail on any dense vector built from a support index."""
+    def refuse(n, index, values):
+        raise AssertionError(f"dense vector over {n} qubits built")
+    monkeypatch.setattr(statevec, "_scatter", refuse)
+
+
+def dense_twin(state: PureState) -> PureState:
+    """The state's Z-frame amplitudes as an unflagged dense state, whose
+    cluster detection always reads the full view."""
+    return PureState(state.register, state.amplitudes)
+
+
+def assert_same_clusters(got, want) -> None:
+    """Equal members, flips and residual; coefficients within 1e-12."""
+    assert got.residual == want.residual
+    assert [(c.members, c.flips) for c in got.clusters] == [
+        (c.members, c.flips) for c in want.clusters
+    ]
+    for g, w in zip(got.clusters, want.clusters):
+        assert np.allclose(g.coefficients, w.coefficients, rtol=0.0, atol=1e-12)
+
+
+@pytest.fixture
+def twin_checked(monkeypatch) -> list[int]:
+    """Repeat every cluster detection and environment check on a flagged
+    state of at most 20 qubits on its dense twin, and require the same
+    clusters, coefficients or error message.  Yields the sizes checked."""
+    find, check = analysis.find_clusters, protocol.check_environment
+    sizes: list[int] = []
+
+    def twinned(state):
+        return state._frame and state.n_qubits <= 20
+
+    def find_both(state, *args, **kwargs):
+        got = find(state, *args, **kwargs)
+        if twinned(state):
+            sizes.append(state.n_qubits)
+            assert_same_clusters(got, find(dense_twin(state), *args, **kwargs))
+        return got
+
+    def check_both(state, *args, **kwargs):
+        if not twinned(state):
+            return check(state, *args, **kwargs)
+        try:
+            want = check(dense_twin(state), *args, **kwargs)
+        except EnvironmentNotGHZError as exc:
+            want = str(exc)
+        try:
+            got = check(state, *args, **kwargs)
+        except EnvironmentNotGHZError as exc:
+            assert str(exc) == want
+            raise
+        assert not isinstance(want, str), f"the dense twin was rejected: {want}"
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        return got
+
+    monkeypatch.setattr(analysis, "find_clusters", find_both)
+    monkeypatch.setattr(protocol, "check_environment", check_both)
+    return sizes
 
 
 def _single(amplitudes: str) -> str:

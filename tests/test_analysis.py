@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmeasure import analysis
+from qmeasure import analysis, statevec
 from qmeasure.analysis import (
     INCONSISTENT,
     AgreementReport,
     ClusterDecomposition,
     CorrelationCluster,
+    DEFAULT_TOL,
     CorrelationLedger,
     NotClusterNormalError,
     agreement,
@@ -36,12 +37,13 @@ from qmeasure.statevec import (
     Register,
     approx_eq,
     branch_decompose,
+    _framed,
     make_ghz,
     product_state,
     tensor,
 )
 
-from conftest import random_pair
+from conftest import assert_same_clusters, dense_twin, random_pair
 
 
 def normalized(pair):
@@ -573,6 +575,145 @@ def test_x_rejection_of_a_z_frame_environment_peaks_near_state_size():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 16 * 2**16
+
+
+# The same two states read through dense vectors on a full support, with
+# Gram-entry rejects and reshape peels: the first as its unflagged dense
+# twin; the second stored rotated and flagged on half its environment, so
+# that the check frame's stored amplitudes do not factor and the check
+# clears the other flags on the dense vector, the last ones on row blocks.
+
+
+def test_dense_twin_support_peak_memory_stays_near_state_size():
+    env = env_labels(14)
+    state = tensor(product_state(("s", "o"), [(0.6, 0.8j), (1, 2)]), make_ghz(env, (1, 1j)))
+    for label in state.register.labels:
+        state = rotate_basis(state, label)
+    twin = dense_twin(state)
+    tracemalloc.start()
+    try:
+        decomposition = find_clusters(twin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(env) <= set(decomposition.residual)
+    assert peak <= 3 * twin.amplitudes.nbytes
+
+
+def test_x_rejection_of_a_dense_z_frame_environment_peaks_near_state_size():
+    env = env_labels(14)
+    state = tensor(product_state(("s", "o"), [(0.6, 0.8j), (1, 2)]), make_ghz(env, (1, 1j)))
+    vec = state.amplitudes.copy()
+    for label in env[:7]:
+        statevec._rotate_axis(vec, state.register.position(label))
+    twin = PureState(state.register, vec)
+    for label in env[:7]:
+        twin = rotate_basis(twin, label)
+    assert np.allclose(twin.amplitudes, state.amplitudes, rtol=0.0, atol=1e-15)
+    spec = MeasurementOutcomeSpec("s", "o", env, basis="X")
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnvironmentNotGHZError, match="carry no GHZ structure"):
+            corrected_measure(twin, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * 2**16
+
+
+# The factored path: a state with basis flags and a support index has its
+# clusters read off the factors of its stored amplitudes φ where those
+# decide them, and they must be the clusters its dense twin reads off the
+# full view.
+
+
+def flagged_state(state, mask):
+    """The state's Z-frame amplitudes as the support index of a state whose
+    basis flags are ``mask``."""
+    phi = state.amplitudes
+    index = np.flatnonzero(phi)
+    return _framed(state.register, index, phi[index], mask)
+
+
+def ghz_next_to_s_and_o(n, chi, so=None):
+    so = so or ((0.6, 0.8j), (1, 2))
+    return tensor(product_state(("s", "o"), so), make_ghz(env_labels(n - 2), chi))
+
+
+#: GHZ edges next to s and o: a Schmidt coefficient ten times the bound, and
+#: 1.5 times it, where φ's small branch falls under the cutoff unless s and o
+#: are basis states; |a − b| about 1e-8, which puts the view's odd half near
+#: the cutoff; a two-member GHZ whose view stays two-branch; one and two
+#: flagged members.  With whether the factored path decides them.
+BASIS_SO = ((1, 0), (0, 1))
+GHZ_EDGES = [
+    (6, 0b001111, 1e-9, (1, 1e-8), None, True),
+    (6, 0b111111, 1e-9, (1, 1.5e-9), None, False),
+    (6, 0b111111, 1e-9, (1, 1.5e-9), BASIS_SO, True),
+    (6, 0b001111, 1e-9, (1, 1 + 2**0.5 * 1e-8), None, False),
+    (4, 0b0011, 1e-9, (1, 1), None, False),
+    (5, 0b00001, 1e-6, (0.6, 0.8j), None, False),
+    (5, 0b00011, 1e-6, (0.6, 0.8j), None, True),
+]
+
+
+def with_ghz_edges(test):
+    """Pin every GHZ edge, in both modes, as an example of a twin test."""
+    for n, mask, tol, chi, so, _ in GHZ_EDGES:
+        for relabel in (False, True):
+            test = example(seed=0, n=n, mask=mask, tol=tol, relabel=relabel, ghz=(chi, so))(test)
+    return test
+
+
+class TestFactoredPath:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        mask=st.integers(0, 2**12 - 1),
+        tol=st.sampled_from([1e-9, 1e-6, 1e-3]),
+        relabel=st.booleans(),
+        ghz=st.none(),
+    )
+    @with_ghz_edges
+    def test_flagged_states_read_as_their_dense_twins(self, seed, n, mask, tol, relabel, ghz):
+        # random cluster products, or a GHZ edge over e1… next to s and o
+        if ghz is None:
+            state = random_cluster_state(np.random.default_rng(seed), n)
+        else:
+            state = ghz_next_to_s_and_o(n, *ghz)
+        flagged = flagged_state(state, mask % 2**n)
+        assert_same_clusters(
+            find_clusters(flagged, tol, relabel), find_clusters(dense_twin(flagged), tol, relabel)
+        )
+
+    @pytest.mark.parametrize("n, mask, tol, chi, so, decided", GHZ_EDGES)
+    def test_which_ghz_edges_the_factored_path_decides(self, n, mask, tol, chi, so, decided):
+        flagged = flagged_state(ghz_next_to_s_and_o(n, chi, so), mask)
+        assert (analysis._factored(flagged, tol, False) is not None) == decided
+        if decided:
+            assert set(env_labels(n - 2)) <= set(find_clusters(flagged, tol).residual)
+
+    def test_a_two_branch_view_falls_back_and_is_accepted(self):
+        # (|↑↑⟩ + |↓↓⟩)/√2 reads the same in X on both members
+        flagged = flagged_state(ghz_next_to_s_and_o(4, (1, 1)), 0b0011)
+        decomposition = find_clusters(flagged)
+        assert decomposition.residual == ()
+        assert [c.members for c in decomposition.clusters] == [("s",), ("o",), ("e1", "e2")]
+
+    def test_unflagged_states_take_the_view_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("factored path entered")
+
+        monkeypatch.setattr(analysis, "_factored", refuse)
+        find_clusters(ghz_next_to_s_and_o(8, (1, 1j)))
+
+    def test_stored_vectors_with_and_without_index_give_the_same_bits(self):
+        state = rotate_basis(rotate_basis(ghz_next_to_s_and_o(8, (0.6, 0.8j)), "e1"), "e2")
+        plain = rotate_basis(rotate_basis(dense_twin(ghz_next_to_s_and_o(8, (0.6, 0.8j))), "e1"), "e2")
+        assert state._index is not None and plain._index is None
+        assert analysis._factored(state, DEFAULT_TOL, False) is not None
+        assert find_clusters(state) == find_clusters(plain)
 
 
 # Cluster detection on a full support: every one of the 2^n positions is a

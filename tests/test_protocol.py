@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -42,7 +45,13 @@ from qmeasure.statevec import (
     tensor,
 )
 
+from qmeasure.runner import RunError, run
+from qmeasure.scenario import ScenarioError, parse_scenario
+
 from conftest import random_pair
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402  (the benchmark's scenario generators, standard library only)
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -321,6 +330,79 @@ class TestToleranceEdges:
         state, spec = corrected_setup(random_pair(rng, 0.1), (1, 0), (1, 1e-8), 2)
         decomposition = find_clusters(corrected_measure(state, spec), allow_relabeling=True)
         assert set(decomposition.residual) == {"s", "o", "e1"}
+
+
+@pytest.mark.parametrize("chi", [(1, 0), (0, 1), (1, 1e-10), (1, 1e-8), (0.6, 0.8j)])
+@pytest.mark.parametrize("n_env", [2, 3])
+def test_tolerance_edge_environments_decide_as_their_dense_twins(twin_checked, rng, chi, n_env):
+    # The environments of TestToleranceEdges read in the other frame: in X
+    # from the Z frame, in Z and X from the X frame, and ledgered there.
+    env = env_labels(n_env)
+    state, _ = corrected_setup(random_pair(rng), random_pair(rng), chi, n_env)
+    x_frame = apply_script(state, [RotateBasis(e) for e in env])
+    for basis, current in (("X", state), ("Z", x_frame), ("X", x_frame)):
+        try:
+            corrected_measure(current, MeasurementOutcomeSpec("s", "o", env, basis))
+        except EnvironmentNotGHZError:
+            pass
+    try:
+        ledger_record(CorrelationLedger(), x_frame, "x frame")
+    except NotClusterNormalError:
+        pass
+    assert twin_checked
+
+
+@pytest.mark.parametrize(
+    "name, sizes, count",
+    [
+        ("env_reject", (8, 14, 20), 3),
+        ("corrected_z", (8, 14, 20), 3),
+        ("wide_branches", (8, 10, 12), 3),
+        ("small_scripts", (5, 6, 7, 8), 8),  # cases 4-7 of each size run in X
+    ],
+)
+def test_benchmark_cases_decide_as_their_dense_twins(twin_checked, name, sizes, count):
+    workload = workloads.WORKLOADS[name]
+    for n in sizes:
+        for case in workload.make_cases(0, n)[:count]:
+            for engine in workload.engines:
+                try:
+                    run(parse_scenario(case.text), engine=engine)
+                except (RunError, ScenarioError):
+                    pass
+    # corrected_z never flags a qubit, so nothing there is twinned
+    assert bool(twin_checked) == (name != "corrected_z")
+
+
+ROTATED_GHZ_SO = (0.6, 0.8j), (1, 2)
+
+
+class TestPastTheDenseLimit:
+    """Checks and ledgers that read a GHZ environment in the other frame
+    reject it from its stored amplitudes, at any size, with no dense vector."""
+
+    @pytest.mark.parametrize("n", [20, 26, 30, 48])
+    def test_x_measurement_of_a_z_frame_environment(self, no_dense_builds, n):
+        env = env_labels(n - 2)
+        state, _ = corrected_setup(*ROTATED_GHZ_SO, (1, 1j), n - 2)
+        spec = MeasurementOutcomeSpec("s", "o", env, "X")
+        message = f"environment subsystems {sorted(env)} carry no GHZ structure"
+        with pytest.raises(EnvironmentNotGHZError) as info:
+            corrected_measure(state, spec)
+        assert str(info.value) == message
+        check_frame = apply_script(state, [RotateBasis(lbl) for lbl in ("s", "o", *env)])
+        assert find_clusters(check_frame).residual == env
+
+    def test_z_ledger_and_measurement_of_an_x_frame_environment(self, no_dense_builds):
+        env = env_labels(28)
+        state, spec = corrected_setup(*ROTATED_GHZ_SO, (1, 1j), 28)
+        state = apply_script(state, [RotateBasis(e) for e in env])
+        with pytest.raises(NotClusterNormalError) as info:
+            ledger_record(CorrelationLedger(), state, "before")
+        assert str(info.value) == f"state has no ledger value: residual subsystems {env}"
+        with pytest.raises(EnvironmentNotGHZError) as info:
+            corrected_measure(state, spec)
+        assert str(info.value) == f"environment subsystems {sorted(env)} carry no GHZ structure"
 
 
 def script_matrix(script, register):

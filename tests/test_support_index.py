@@ -441,14 +441,6 @@ def _corrected_z_doc(n, psi, phi, chi):
 PSI, PHI, CHI = (0.6 + 0.1j, -0.3 + 0.7j), (0.2 - 0.5j, 0.9 + 0j), (0.8j, -0.4 + 0.3j)
 
 
-@pytest.fixture
-def no_dense_builds(monkeypatch):
-    """Fail on any dense vector built from a support index."""
-    def refuse(n, index, values):
-        raise AssertionError(f"dense vector over {n} qubits built")
-    monkeypatch.setattr(statevec, "_scatter", refuse)
-
-
 def test_z_corrected_measurement_stays_sparse(monkeypatch):
     text = json.dumps(_corrected_z_doc(20, PSI, PHI, CHI))
     states = []
