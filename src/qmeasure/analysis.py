@@ -157,17 +157,6 @@ def _covariation_classes(idx: np.ndarray, n: int, allow_relabeling: bool) -> lis
     return list(classes.values())
 
 
-def _gram_rejects(a: np.ndarray, b: np.ndarray, n_a: float, n_b: float, bound: float) -> bool:
-    """Whether ‖a‖², ‖b‖², ⟨a|b⟩ prove the fit error of slices a, b (N columns) above
-    ``bound``, past which ``_peel`` rejects: this estimate and the difference-vector
-    one lie within m = 16·(N + 3)·2⁻⁵³ of the exact error, so this one must clear (bound + m)² + m."""
-    margin = 2.0**-49 * (a.size + 3)
-    n_pick, n_other = max(n_a, n_b), min(n_a, n_b)
-    gram = abs(complex(np.vdot(a, b))) / n_pick
-    err2 = (n_other - gram) * (n_other + gram) / (n_a * n_a + n_b * n_b)
-    return err2 > (bound + margin) ** 2 + margin
-
-
 def _peel(
     idx: np.ndarray | None,
     amp: np.ndarray,
@@ -208,8 +197,6 @@ def _peel(
             keys, v_up, v_down = _halves(idx, amp, mask, up)
 
     n_up, n_down = float(np.linalg.norm(v_up)), float(np.linalg.norm(v_down))
-    if _gram_rejects(v_up, v_down, n_up, n_down, tol * (1.0 + cut) + _SQRT2 * cut):
-        return None, cut
     norm = float(np.hypot(n_up, n_down))
     n_pick, n_other = max(n_up, n_down), min(n_up, n_down)
     rest = (v_up if n_up >= n_down else v_down) / n_pick
@@ -298,9 +285,10 @@ def _factored(
         low *= w[w > 0].min()  # the factor's smallest nonzero modulus in the view
         (rejected if factor.size > 1 and k else others).append((factor, flags, k, np.abs(c)))
     # The view path's columns and cut stay within slack of the product's
-    # view (its peels renormalize by at most √2 each); margin is the relative
-    # rounding of its sums, as in _gram_rejects, on at most 2^24 columns.
-    # Below 2·tol, bound leaves the other factors' peels accepted.
+    # view (its peels renormalize by at most √2 each); margin, 16·(N + 3)·2⁻⁵³,
+    # bounds the relative rounding of its norms and inner products over
+    # N ≤ 2^24 columns.  Below 2·tol, bound leaves the other factors' peels
+    # accepted.
     slack = 4 * len(factors) * (len(others) + 1) * fit * 2.0 ** (len(others) / 2)
     margin = 2.0**-49 * (2 ** min(n, DENSE_MAX_QUBITS) + 3)
     bound = (tol * (1.0 + slack) + 3 * slack) / (1.0 - margin)

@@ -83,11 +83,6 @@ def _slice_at(n: int, fixed: dict[int, int]) -> tuple:
     return tuple(ix)
 
 
-def _pair_positions(state: PureState, a: str, b: str) -> tuple[int, int, int]:
-    reg = state.register
-    return reg.position(a), reg.position(b), len(reg)
-
-
 def _moved(state: PureState, to: np.ndarray, frame: int) -> PureState:
     """The state whose amplitudes at its support index move to ``to``."""
     order = np.argsort(to)
@@ -101,12 +96,13 @@ def imprint(state: PureState, source: str, target: str) -> PureState:
     """
     if source == target:
         raise ValueError(f"imprint needs two distinct operands, got {source!r} twice")
-    ps, pt, n = _pair_positions(state, source, target)
+    reg = state.register
+    ps, pt, n = reg.position(source), reg.position(target), len(reg)
     flagged = [(state._frame >> (n - 1 - p)) & 1 for p in (ps, pt)]
     if flagged[0] != flagged[1]:  # clear the one flag set, then permute
         bit = 1 << (n - 1 - (ps if flagged[0] else pt))
         index, values = _rotated(n, state._index, state._values, bit)
-        state = _adopt(state.register, values, index, state._frame ^ bit)
+        state = _adopt(reg, values, index, state._frame ^ bit)
     elif flagged[0]:  # (H⊗H)·imprint(a→b)·(H⊗H) = imprint(b→a)
         ps, pt = pt, ps
     index = state._index
@@ -121,7 +117,7 @@ def imprint(state: PureState, source: str, target: str) -> PureState:
     hi = _slice_at(n, {ps: 1, pt: 1})
     out[lo] = psi[hi]
     out[hi] = psi[lo]
-    return _adopt(state.register, out.reshape(-1), None, state._frame)
+    return _adopt(reg, out.reshape(-1), None, state._frame)
 
 
 def inverse_imprint(state: PureState, source: str, target: str) -> PureState:
@@ -133,7 +129,8 @@ def swap(state: PureState, a: str, b: str) -> PureState:
     """Exchange two subsystems: |xy⟩ → |yx⟩ on (a, b)."""
     if a == b:
         raise ValueError(f"swap needs two distinct operands, got {a!r} twice")
-    pa, pb, n = _pair_positions(state, a, b)
+    reg = state.register
+    pa, pb, n = reg.position(a), reg.position(b), len(reg)
     sa, sb = n - 1 - pa, n - 1 - pb
     frame = state._frame
     if ((frame >> sa) ^ (frame >> sb)) & 1:
@@ -143,7 +140,7 @@ def swap(state: PureState, a: str, b: str) -> PureState:
         differ = ((index >> sa) ^ (index >> sb)) & 1
         return _moved(state, index ^ ((differ << sa) | (differ << sb)), frame)
     psi = state._values.reshape([2] * n)
-    return _adopt(state.register, np.swapaxes(psi, pa, pb).reshape(-1), None, frame)
+    return _adopt(reg, np.swapaxes(psi, pa, pb).reshape(-1), None, frame)
 
 
 def rotate_basis(state: PureState, target: str) -> PureState:

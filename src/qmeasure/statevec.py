@@ -34,9 +34,9 @@ the gates move flags as described in :mod:`qmeasure.gates`.  Every reader
 sees a state in a frame through :func:`_frame_view`, which clears only the
 flags that differ from that frame, in register-position order, with the
 (lo ± hi)/√2 arithmetic of the dense kernel: on the support index, which at
-most doubles per flag, while it stays within the share, then on the dense
-vector, short-run axes on transposed blocks.  Branch listing reads the
-frame of its selectors, :attr:`PureState.amplitudes` the Z frame, cluster
+most doubles per flag, when its final size stays within the share, else on
+a copy of the dense vector.  Branch listing reads the frame of its
+selectors, :attr:`PureState.amplitudes` the Z frame, cluster
 detection the Z frame where the factors of φ do not decide it, and the
 ready check the state's own frame with the observer's flag set to the
 basis.  The dense Z-frame vector, scattered anew on each access to
@@ -68,11 +68,13 @@ MAX_QUBITS = 63
 
 #: Most qubits a dense amplitude vector (16 · 2^n bytes) is built for.  The
 #: dense path peaks at 2.5 times the vector plus a few KiB, in cluster
-#: detection on a full-support view (2.5001-2.5047x by tracemalloc at
-#: n = 22 down to 16; the X rejection of a Z-frame GHZ builds no vector), so
-#: 24 qubits peak near 640 MiB, under an eighth of an 8 GiB host.  The limit
-#: bounds vectors, not branch tables: listing every branch of a dense state
-#: holds about 33 times the vector in Python objects (a Z listing).
+#: detection on the full-support view of a flagged dense state: the rotated
+#: copy, its moduli and one peel's halves (2.5000-2.5017x by tracemalloc at
+#: n = 22 down to 16; 1.50x on an unflagged one; the X rejection of a
+#: Z-frame GHZ builds no vector), so 24 qubits peak near 640 MiB, under an
+#: eighth of an 8 GiB host.  The limit bounds vectors, not branch tables:
+#: listing every branch of a dense state holds about 33 times the vector in
+#: Python objects (a Z listing).
 DENSE_MAX_QUBITS = 24
 
 UP, DOWN, RIGHT, LEFT = "↑", "↓", "→", "←"
@@ -80,10 +82,6 @@ Z_SYMBOLS = (UP, DOWN)
 X_SYMBOLS = (RIGHT, LEFT)
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-#: In place, halves of 2 to _SHORT_RUN - 1 amplitudes rotate slowly, numpy stepping
-#: a few at a time; the dense phase rotates them on transposed 512 KiB row blocks.
-_SHORT_RUN, _BLOCK_ROWS = 32, 1024
 
 #: A basis choice is "Z" (computational ↑/↓) or "X" (→/←), given either as
 #: one string applied uniformly or as a mapping covering every register label.
@@ -478,42 +476,34 @@ def _rotated(
     register-position order, to amplitudes held as (index, values), or as
     the dense vector when ``index`` is None.
 
-    The support index at most doubles per qubit.  It is kept while it lists
-    at most 2^n · ``SPARSE_SHARE`` positions, and never more than that share
-    of 2^``DENSE_MAX_QUBITS``, so that a view a larger register cannot hold
-    fails on the dense limit before its support outgrows memory; beyond that
-    the dense kernel rotates the remaining qubits.  Absent partners enter as
-    exact zeros, as in the dense kernel, so both give the same bits.
+    The final support is known before any step: 2^(flags) positions for each
+    distinct indexed position with the flagged bits cleared.  The view stays
+    on the index when that lists at most 2^n · ``SPARSE_SHARE`` positions,
+    and never more than that share of 2^``DENSE_MAX_QUBITS``, so that a view
+    a larger register cannot hold fails on the dense limit before its index
+    grows; otherwise the dense kernel rotates a copy in place.  Absent
+    partners enter as exact zeros, as in the dense kernel, so both give the
+    same bits.
     """
-    limit = 2 ** min(n, DENSE_MAX_QUBITS) * SPARSE_SHARE
-    copied = False
-    for pos in range(n):
-        shift = n - 1 - pos
-        if not (mask >> shift) & 1:
-            continue
-        if index is not None:
-            keys, lo, hi = _halves(index, values, 1 << shift, 0)
-            if 2 * keys.size <= limit:
-                index = np.concatenate((keys, keys | (1 << shift)))
+    flagged = [pos for pos in range(n) if (mask >> (n - 1 - pos)) & 1]
+    if index is None:
+        values = values.copy()
+    else:
+        keys = np.sort(index & ~mask)
+        distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+        if distinct << len(flagged) <= 2 ** min(n, DENSE_MAX_QUBITS) * SPARSE_SHARE:
+            for pos in flagged:
+                bit = 1 << (n - 1 - pos)
+                keys, lo, hi = _halves(index, values, bit, 0)
+                index = np.concatenate((keys, keys | bit))
                 values = np.concatenate(((lo + hi) * _INV_SQRT2, (lo - hi) * _INV_SQRT2))
                 order = np.argsort(index, kind="stable")
                 index, values = index[order], values[order]
-                continue
-            index, values, copied = None, _scatter(n, index, values), True
-        elif not copied:
-            values, copied = values.copy(), True
-        if 1 < 2**shift < _SHORT_RUN < values.size:
-            # Pairs from here on lie within rows: transposed, their runs are long.
-            rows = values.reshape(-1, _SHORT_RUN)
-            for block in np.split(rows, range(_BLOCK_ROWS, len(rows), _BLOCK_ROWS)):
-                moved = block.T.copy()
-                for p in range(pos, n):
-                    if (mask >> (n - 1 - p)) & 1:
-                        _rotate_axis(moved, p - n + _SHORT_RUN.bit_length() - 1)
-                block[...] = moved.T
-            break
+            return index, values
+        values = _scatter(n, index, values)
+    for pos in flagged:
         _rotate_axis(values, pos)
-    return index, values
+    return None, values
 
 
 def _frame_view(state: PureState, frame: int) -> tuple[np.ndarray | None, np.ndarray]:

@@ -578,10 +578,10 @@ def test_x_rejection_of_a_z_frame_environment_peaks_near_state_size():
 
 
 # The same two states read through dense vectors on a full support, with
-# Gram-entry rejects and reshape peels: the first as its unflagged dense
-# twin; the second stored rotated and flagged on half its environment, so
-# that the check frame's stored amplitudes do not factor and the check
-# clears the other flags on the dense vector, the last ones on row blocks.
+# reshape peels: the first as its unflagged dense twin; the second stored
+# rotated and flagged on half its environment, so that the check frame's
+# stored amplitudes do not factor and the check clears the other flags on
+# the dense vector.
 
 
 def test_dense_twin_support_peak_memory_stays_near_state_size():
@@ -717,8 +717,7 @@ class TestFactoredPath:
 
 
 # Cluster detection on a full support: every one of the 2^n positions is a
-# column, the member halves come from a reshape view, and rejections are
-# decided from Gram entries where rounding cannot matter.
+# column, and the member halves come from a reshape view.
 
 
 def _peel_by_differences(v_up, v_down, tol, cut):
@@ -770,21 +769,12 @@ def _full_support_amplitudes(gen, n, pos):
 
 class TestFullColumnPeel:
     @pytest.mark.parametrize("n", range(2, 11))
-    def test_reshape_slices_equal_index_slices(self, n, monkeypatch):
+    def test_reshape_slices_equal_index_slices(self, n):
         gen = np.random.default_rng(n)
-        seen = []
-
-        def spy(v_up, v_down, *args):
-            seen.append((v_up.tobytes(), v_down.tobytes()))
-            return gram_rejects(v_up, v_down, *args)
-
-        gram_rejects = analysis._gram_rejects
-        monkeypatch.setattr(analysis, "_gram_rejects", spy)
         amp = _full_support_amplitudes(gen, n, int(gen.integers(0, n)))
         for shift in reversed(range(n)):
             full = analysis._peel(None, amp, [shift], [False], 1e-9, 0.0)
             indexed = analysis._peel(np.arange(2**n), amp, [shift], [False], 1e-9, 0.0)
-            assert seen[-2] == seen[-1]
             (got, cut), (want, want_cut) = full, indexed
             assert cut == want_cut and (got is None) == (want is None)
             if want is not None:
@@ -815,7 +805,7 @@ class TestFullColumnPeel:
             assert classes == [[p] for p in range(n)]
 
 
-class TestGramMargin:
+class TestPeelRejectBound:
     TOL = 1e-9
 
     @staticmethod
@@ -832,11 +822,8 @@ class TestGramMargin:
         scale = np.sqrt(1.0 + gamma**2)
         return (heavy / scale, light / scale) if up_heavier else (light / scale, heavy / scale)
 
-    def check(self, gen, size, err, cut, up_heavier, gram_decides):
+    def check(self, gen, size, err, cut, up_heavier):
         v_up, v_down = self.slices(gen, size, err, up_heavier)
-        n_up, n_down = float(np.linalg.norm(v_up)), float(np.linalg.norm(v_down))
-        bound = self.TOL * (1.0 + cut) + 2.0**0.5 * cut
-        assert analysis._gram_rejects(v_up, v_down, n_up, n_down, bound) == gram_decides
         want = _peel_by_differences(v_up, v_down, self.TOL, cut)
         shift = size.bit_length() - 1
         amp = np.concatenate((v_up, v_down))
@@ -856,29 +843,20 @@ class TestGramMargin:
     def test_decisive_rejections_match_the_difference_vectors(self, size, cut, err):
         gen = np.random.default_rng(7)
         for up_heavier in (True, False):
-            peeled, new_cut = self.check(gen, size, err, cut, up_heavier, gram_decides=True)
+            peeled, new_cut = self.check(gen, size, err, cut, up_heavier)
             assert peeled is None and new_cut == cut
 
     @pytest.mark.parametrize("size", [2, 16, 256])
     @pytest.mark.parametrize("cut", [0.0, 3e-11, 2e-10])
     @pytest.mark.parametrize("where", [0.0, 0.5, 0.999, 1.001, 1.5, 4.0])
-    def test_errors_near_the_bound_fall_back(self, size, cut, where):
+    def test_errors_near_the_bound(self, size, cut, where):
         # ``where`` places the error relative to the reject bound: accepted,
         # rejected with the cut raised to 1, and rejected as it is.
         gen = np.random.default_rng(8)
         bound = self.TOL * (1.0 + cut) + 2.0**0.5 * cut
         for up_heavier in (True, False):
-            peeled, new_cut = self.check(gen, size, where * bound, cut, up_heavier, False)
+            peeled, new_cut = self.check(gen, size, where * bound, cut, up_heavier)
             if where < 0.999 or (where < 1.0 and cut == 0.0):
                 assert peeled is not None
             else:
                 assert peeled is None and new_cut == (cut if where > 1.0 else 1.0)
-
-    @pytest.mark.parametrize("size", [2, 16, 256])
-    def test_the_rounding_margin_separates_the_paths(self, size):
-        # Far above the bound, the squared error still has to clear the
-        # stated margin m = 16·(N + 3)·2⁻⁵³ before the Gram entries decide.
-        gen = np.random.default_rng(9)
-        margin = 16 * (size + 3) * 2.0**-53
-        for scale, gram_decides in ((0.5, False), (2.0, True)):
-            self.check(gen, size, scale * margin**0.5, 0.0, True, gram_decides)

@@ -169,24 +169,52 @@ def dense_twin_step(plain: PureState, kernel, operands) -> PureState:
 
 @pytest.mark.parametrize("n", [*range(1, 12), 17])
 def test_views_rotate_like_the_in_place_kernel_to_the_bit(n):
-    # The sparse phase and the last positions, rotated on transposed blocks
-    # (four of them at n = 17), give the bits of the in-place kernel applied
-    # in register order.
+    # Sparse and dense views give the bits of the in-place kernel applied in
+    # register order.  From n = 5, two views flagged on one qubit sit at the
+    # share: final support at the limit stays sparse, one key more goes dense.
     gen = np.random.default_rng(n)
     dense = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
     index = np.sort(gen.choice(2**n, size=max(1, 2**n // 16), replace=False))
-    sparse = dense[index]
     dense.setflags(write=False)
-    for mask in {2**n - 1, 1, *(int(m) for m in gen.integers(0, 2**n, size=6))}:
-        for idx, values in ((None, dense), (index, sparse)):
-            want = dense.copy() if idx is None else statevec._scatter(n, idx, values)
-            for pos in range(n):
-                if (mask >> (n - 1 - pos)) & 1:
-                    statevec._rotate_axis(want, pos)
-            got_idx, got = statevec._rotated(n, idx, values, mask)
-            if got_idx is not None:
-                got = statevec._scatter(n, got_idx, got)
-            assert got.tobytes() == want.tobytes()
+    cases = [
+        (mask, idx, None)
+        for mask in {2**n - 1, 1, *(int(m) for m in gen.integers(0, 2**n, size=6))}
+        for idx in (None, index)
+    ]
+    if n >= 5:
+        bit = 1 << int(gen.integers(0, n))
+        free = np.flatnonzero((np.arange(2**n) & bit) == 0)
+        keys = gen.choice(free, size=2**n // 32 + 1, replace=False)
+        keys |= bit * gen.integers(0, 2, size=keys.size)
+        cases += [(bit, np.sort(keys[:-1]), True), (bit, np.sort(keys), False)]
+    for mask, idx, stays_sparse in cases:
+        values = dense if idx is None else dense[idx]
+        want = dense.copy() if idx is None else statevec._scatter(n, idx, values)
+        for pos in range(n):
+            if (mask >> (n - 1 - pos)) & 1:
+                statevec._rotate_axis(want, pos)
+        got_idx, got = statevec._rotated(n, idx, values, mask)
+        if stays_sparse is not None:
+            assert (got_idx is not None) == stays_sparse
+        if got_idx is not None:
+            got = statevec._scatter(n, got_idx, got)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [40, 63])
+def test_views_past_the_share_fail_before_the_index_grows(n, monkeypatch):
+    # Over more than DENSE_MAX_QUBITS qubits, a view whose final support
+    # passes the share is refused on the dense limit before any flag clear.
+    def refuse(*args):
+        raise AssertionError("support index grown")
+
+    monkeypatch.setattr(statevec, "_halves", refuse)
+    index = np.array([0, 2**n - 1], dtype=np.int64)
+    values = np.array([0.6, 0.8j])
+    over = statevec.DENSE_MAX_QUBITS - 4  # two keys << this passes 2^24 / 16
+    for mask in (2**n - 1, 2**over - 1, (2**over - 1) << (n - over)):
+        with pytest.raises(statevec.DenseLimitError, match="exceeds the limit of 24 qubits"):
+            statevec._rotated(n, index, values, mask)
 
 
 @settings(max_examples=300, deadline=None)
