@@ -201,7 +201,7 @@ def test_views_rotate_like_the_in_place_kernel_to_the_bit(n):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n", [40, 63])
+@pytest.mark.parametrize("n", [25, 40, 58, 63])
 def test_views_past_the_share_fail_before_the_index_grows(n, monkeypatch):
     # Over more than DENSE_MAX_QUBITS qubits, a view whose final support
     # passes the share is refused on the dense limit before any flag clear.
