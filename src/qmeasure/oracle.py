@@ -1,11 +1,16 @@
 """Brute-force verification path: explicit dense matrices for every gate.
 
 This module deliberately shares no kernel code with :mod:`qmeasure.gates`.
-Each gate is assembled as a full 2^n x 2^n matrix from Kronecker chains of
-2x2 blocks and applied by plain matrix-vector multiplication.  Naive on
-purpose: it is the independent oracle the test suite (and any third party)
-can check the strided kernels against, and it is capped at a size where the
-dense matrices stay manageable.
+Each gate is a full 2^n x 2^n matrix, applied by plain matrix-vector
+multiplication.  A basis rotation is one Kronecker chain: the 2x2 block with
+identity runs on either side.  An imprint or swap builds its 4x4 two-qubit
+core from the same Kronecker products of 2x2 blocks and writes it into one
+zeroed full matrix, once per setting of the other qubits; an inverse imprint
+conjugates that matrix in place.  So building a gate peaks at one matrix,
+256 MiB at the 12-qubit cap (a basis rotation at up to a quarter more, for
+its identity run).  Naive on purpose: it is the independent oracle the test
+suite (and any third party) can check the strided kernels against, and it is
+capped at a size where the dense matrices stay manageable.
 """
 from __future__ import annotations
 
@@ -37,11 +42,29 @@ def _chain(blocks: dict[int, np.ndarray], n: int) -> np.ndarray:
     start = 0
     for pos in sorted(blocks) + [n]:
         if pos > start:
-            out = np.kron(out, np.eye(2 ** (pos - start), dtype=np.complex128))
+            out = _kron(out, np.eye(2 ** (pos - start), dtype=np.complex128))
         if pos < n:
-            out = np.kron(out, blocks[pos])
+            out = _kron(out, blocks[pos])
         start = pos + 1
     return out
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices: the same products a[i, j] * b[k, l], in one broadcast."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
+
+
+def _embed_pair(core: np.ndarray, p: int, q: int, n: int) -> np.ndarray:
+    """Full matrix of a 4x4 core on qubits p < q, identity on all others.
+
+    The full n-qubit chains the core was summed from are zero off its
+    blocks and repeat its entries on each, so their sum has these bytes
+    (the tests compare them bytewise).  The block-diagonal view of the
+    zeroed matrix reaches every block in one write.
+    """
+    out = np.zeros((2**p, 2, 2 ** (q - p - 1), 2, 2 ** (n - q - 1)) * 2, dtype=np.complex128)
+    np.einsum("lambrlcmdr->lmrabcd", out)[...] = core.reshape(2, 2, 2, 2)
+    return out.reshape(2**n, 2**n)
 
 
 def gate_matrix(op: GateOp, register: Register) -> np.ndarray:
@@ -49,16 +72,18 @@ def gate_matrix(op: GateOp, register: Register) -> np.ndarray:
     n = len(register)
     if isinstance(op, Imprint):
         ps, pt = register.position(op.source), register.position(op.target)
-        return _chain({ps: _P_UP}, n) + _chain({ps: _P_DOWN, pt: _X}, n)
+        s, t = int(ps > pt), int(pt > ps)  # the operands' places in the core
+        core = _chain({s: _P_UP}, 2) + _chain({s: _P_DOWN, t: _X}, 2)
+        return _embed_pair(core, min(ps, pt), max(ps, pt), n)
     if isinstance(op, InverseImprint):
         forward = gate_matrix(Imprint(op.source, op.target), register)
-        return forward.conj().T
+        return np.conjugate(forward, out=forward).T
     if isinstance(op, Swap):
         pa, pb = register.position(op.a), register.position(op.b)
-        total = np.eye(2**n, dtype=np.complex128)
+        core = np.eye(4, dtype=np.complex128)
         for pauli in (_X, _Y, _Z):
-            total = total + _chain({pa: pauli, pb: pauli}, n)
-        return total / 2.0
+            core = core + _chain({0: pauli, 1: pauli}, 2)
+        return _embed_pair(core / 2.0, min(pa, pb), max(pa, pb), n)
     if isinstance(op, RotateBasis):
         return _chain({register.position(op.target): _H}, n)
     raise TypeError(f"not a gate operation: {op!r}")

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,7 +84,7 @@ def product_form_matrix(op, register):
     return _embed(oracle._H, register.position(op.target), n)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_kronecker_chains_equal_the_product_form_bytewise(n):
     reg = Register(labels(n))
     ops = [RotateBasis(lbl) for lbl in reg.labels]
@@ -91,6 +92,21 @@ def test_kronecker_chains_equal_the_product_form_bytewise(n):
         ops += [Imprint(a, b), InverseImprint(a, b), Swap(a, b)]
     for op in ops:
         assert gate_matrix(op, reg).tobytes() == product_form_matrix(op, reg).tobytes(), op
+
+
+@pytest.mark.parametrize(
+    "op", [Swap("q0", "q9"), Imprint("q9", "q0"), InverseImprint("q0", "q9")], ids=repr
+)
+def test_gate_matrix_peaks_near_one_matrix(op):
+    reg = Register(labels(10))
+    tracemalloc.start()
+    try:
+        matrix = gate_matrix(op, reg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.nbytes == 16 * 4**10
+    assert peak <= 1.25 * matrix.nbytes
 
 
 def test_size_cap():
