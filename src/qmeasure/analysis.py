@@ -28,7 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevec import DENSE_MAX_QUBITS, BranchSet, PureState, _frame_view, _framed, _halves
+from .statevec import DENSE_MAX_QUBITS, X_SYMBOLS, Z_SYMBOLS, BranchSet, PureState
+from .statevec import _bit_matrix, _frame_view, _framed, _halves
 
 #: Default detection tolerance.  Two roles: the support cutoff on
 #: |amplitude|, and the relative 2-norm reconstruction error accepted per
@@ -97,19 +98,16 @@ class CorrelationLedger:
         return tuple(entry.total for entry in self.entries)
 
 
-@dataclass(frozen=True)
-class AgreementRow:
-    outcome: str
-    probability: float
-    agrees: tuple[bool, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgreementReport:
-    """Per-branch and probability-weighted symbol agreement for label pairs."""
+    """Per-branch and probability-weighted symbol agreement for label pairs.
+
+    ``agrees`` holds one bool row per branch of the listing it was read
+    from and one column per pair.
+    """
 
     pairs: tuple[tuple[str, str], ...]
-    rows: tuple[AgreementRow, ...]
+    agrees: np.ndarray
     aggregates: tuple[float, ...]
 
 
@@ -137,22 +135,35 @@ def _support(state: PureState, cutoff: float) -> tuple[np.ndarray | None, np.nda
     return idx, amp, float(np.linalg.norm(mag) / np.linalg.norm(amp))
 
 
+#: Support columns unpacked to bits at a time in ``_covariation_classes``:
+#: one byte per qubit each, so a block takes at most 256 KiB.
+_CLASS_BLOCK = 1 << 12
+
+
 def _covariation_classes(idx: np.ndarray, n: int, allow_relabeling: bool) -> list[list[int]]:
     """Group qubit positions whose bits co-vary over the support columns ``idx``.
 
-    Positions with equal packed bit rows co-vary; in relabeling mode each row
-    is first XOR'd against its first column, so opposite rows match too.
-    Constant positions stay singletons.  Classes come out ordered by their
-    first position (the dict keeps insertion order).
+    Each position's bits over the columns are XOR'd with its bit in the
+    first column and packed into one row of a bit matrix, built a block of
+    columns at a time.  Positions with equal rows co-vary: oppositely in
+    relabeling mode, and with an equal first bit otherwise.  Constant
+    positions (all-zero rows) stay singletons.  Classes come out ordered by
+    their first position (the dict keeps insertion order).
     """
+    if n == 1:  # a lone position, as in every one-member factor _factored peels
+        return [[0]]
+    first = _bit_matrix(idx[:1], n)
+    width = (idx.size + 7) // 8
+    matrix = np.empty((n, width), dtype=np.uint8)  # one row of packed bits per position
+    for start in range(0, idx.size, _CLASS_BLOCK):
+        block = _bit_matrix(idx[start : start + _CLASS_BLOCK], n) ^ first
+        matrix[:, start // 8 : (start + _CLASS_BLOCK) // 8] = np.packbits(block, axis=0).T
+    varies, packed = matrix.any(axis=1).tolist(), matrix.tobytes()
     classes: dict[int | bytes, list[int]] = {}
-    for p in range(n):
-        row = (idx & (1 << (n - 1 - p))) != 0
+    for p, bit in enumerate(first[0].tolist()):
         key: int | bytes = p
-        if row.any() and not row.all():
-            if allow_relabeling and row[0]:
-                np.logical_not(row, out=row)
-            key = np.packbits(row).tobytes()
+        if varies[p]:
+            key = packed[p * width : (p + 1) * width] + (b"" if allow_relabeling else bytes((bit,)))
         classes.setdefault(key, []).append(p)
     return list(classes.values())
 
@@ -194,6 +205,7 @@ def _peel(
         if np.array_equal(keys, idx[~is_up] & ~mask):
             v_up, v_down = amp[is_up], amp[~is_up]
         else:
+            del keys  # freed before _halves pairs the columns anew
             keys, v_up, v_down = _halves(idx, amp, mask, up)
 
     n_up, n_down = float(np.linalg.norm(v_up)), float(np.linalg.norm(v_down))
@@ -414,22 +426,20 @@ def agreement(
 ) -> AgreementReport:
     """Per-branch and aggregate symbol agreement for the given label pairs.
 
-    A pair agrees on a branch iff the two outcome symbols are equal; the
-    aggregate is the total probability of the agreeing branches.
+    A pair agrees on a branch iff the two outcome symbols are equal: both
+    positions read in the same basis, with equal bits.  The aggregate is
+    the total probability of the agreeing branches, summed in branch order.
     """
     positions = [(branches.position(a), branches.position(b)) for a, b in pairs]
-    rows = []
-    aggregates = [0.0] * len(pairs)
-    for branch in branches.branches:
-        agrees = tuple(branch.outcome[pa] == branch.outcome[pb] for pa, pb in positions)
-        prob = branch.probability
-        for i, ok in enumerate(agrees):
-            if ok:
-                aggregates[i] += prob
-        rows.append(AgreementRow(branch.outcome, prob, agrees))
-    return AgreementReport(
-        tuple((a, b) for a, b in pairs), tuple(rows), tuple(aggregates)
-    )
+    agrees = np.zeros((len(branches), len(pairs)), dtype=bool)
+    totals = []
+    for i, (pa, pb) in enumerate(positions):
+        if branches.basis[pa] == branches.basis[pb]:
+            np.equal(branches.bit(pa), branches.bit(pb), out=agrees[:, i])
+        # A running total: cumsum adds left to right, np.sum pairs terms.
+        picked = branches.probabilities[agrees[:, i]]
+        totals.append(float(np.cumsum(picked, out=picked)[-1]) if picked.size else 0.0)
+    return AgreementReport(tuple((a, b) for a, b in pairs), agrees, tuple(totals))
 
 
 INCONSISTENT = "inconsistent"
@@ -440,13 +450,16 @@ def recover_record(branches: BranchSet, records: Sequence[str]) -> list[str]:
 
     Redundant record subsystems let later observers infer an earlier
     measurement outcome branch by branch; this reads that inference off a
-    branch decomposition.
+    branch decomposition.  Records read in different bases never share a
+    symbol.
     """
     if not records:
         raise ValueError("need at least one record subsystem")
     positions = [branches.position(r) for r in records]
-    result = []
-    for branch in branches.branches:
-        symbols = {branch.outcome[p] for p in positions}
-        result.append(symbols.pop() if len(symbols) == 1 else INCONSISTENT)
-    return result
+    code = branches.bit(positions[0]).astype(np.uint8)  # the common bit, or 2 where they differ
+    for p in positions[1:]:
+        code[branches.bit(p) != code] = 2
+    if len({branches.basis[p] for p in positions}) > 1:
+        code[:] = 2
+    symbols = Z_SYMBOLS if branches.basis[positions[0]] == "Z" else X_SYMBOLS
+    return list(map((*symbols, INCONSISTENT).__getitem__, code.tolist()))

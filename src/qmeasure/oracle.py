@@ -2,15 +2,15 @@
 
 This module deliberately shares no kernel code with :mod:`qmeasure.gates`.
 Each gate is a full 2^n x 2^n matrix, applied by plain matrix-vector
-multiplication.  A basis rotation is one Kronecker chain: the 2x2 block with
-identity runs on either side.  An imprint or swap builds its 4x4 two-qubit
-core from the same Kronecker products of 2x2 blocks and writes it into one
-zeroed full matrix, once per setting of the other qubits; an inverse imprint
+multiplication.  A basis rotation writes its 2x2 block, and an imprint or
+swap the 4x4 two-qubit core it builds from Kronecker products of 2x2
+blocks, into one zeroed full matrix, once per setting of the other qubits,
+with the bytes the full Kronecker chains would have; an inverse imprint
 conjugates that matrix in place.  So building a gate peaks at one matrix,
-256 MiB at the 12-qubit cap (a basis rotation at up to a quarter more, for
-its identity run).  Naive on purpose: it is the independent oracle the test
-suite (and any third party) can check the strided kernels against, and it is
-capped at a size where the dense matrices stay manageable.
+256 MiB at the 12-qubit cap.  Naive on purpose: it is the independent
+oracle the test suite (and any third party) can check the strided kernels
+against, and it is capped at a size where the dense matrices stay
+manageable.
 """
 from __future__ import annotations
 
@@ -85,7 +85,13 @@ def gate_matrix(op: GateOp, register: Register) -> np.ndarray:
             core = core + _chain({0: pauli, 1: pauli}, 2)
         return _embed_pair(core / 2.0, min(pa, pb), max(pa, pb), n)
     if isinstance(op, RotateBasis):
-        return _chain({register.position(op.target): _H}, n)
+        p = register.position(op.target)
+        out = np.zeros((2**p, 2, 2 ** (n - p - 1)) * 2, dtype=np.complex128)
+        # A Kronecker chain's zeros are products with H's entries and carry
+        # their signs: those in the ↓↓ entry's places are negative.
+        out.real[:, 1, :, :, 1] = -0.0
+        np.einsum("arcasc->acrs", out)[...] = _H
+        return out.reshape(2**n, 2**n)
     raise TypeError(f"not a gate operation: {op!r}")
 
 

@@ -1,6 +1,6 @@
 """Scenario execution and deterministic report rendering.
 
-Reports are lists of (title, rows) sections.  Rendering rules are fixed so
+Reports are lists of (title, columns) sections.  Rendering rules are fixed so
 that the same scenario and package version always produce byte-identical
 output: numbers print with 12 significant digits, "-0" collapses to "0",
 values below the branch pruning threshold print as "0", and branch tables
@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from . import analysis, protocol
 from .gates import GateOp, apply_script
@@ -38,6 +41,15 @@ from .statevec import (
 )
 
 
+#: Most rows a ``branches``, ``agreement`` or ``recover`` step may render:
+#: every listing of a state over up to 20 qubits.  A longer listing is
+#: refused once its rows are counted, before any is formatted.  Its columns
+#: take 24 bytes a row, its rendered text a few hundred: a 2^20-row
+#: ``branches`` step over 20 qubits peaks near 1 GiB RSS in ``qmeasure
+#: run``, and the refused listing of a dense 24-qubit state near 690 MiB.
+LISTING_MAX_ROWS = 2**20
+
+
 class RunError(Exception):
     """A script step failed at run time; carries the 1-based step number.
 
@@ -54,8 +66,20 @@ class RunError(Exception):
 
 @dataclass(frozen=True)
 class Section:
+    """A titled table, held as equally long columns of cells, each headed
+    by its column title."""
+
     title: str
-    rows: tuple[tuple[str, ...], ...]
+    columns: tuple[Sequence[str], ...]
+
+    @property
+    def rows(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(zip(*self.columns))
+
+
+def _padded(column: Sequence[str]) -> list[str]:
+    width = max(map(len, column))
+    return [cell.ljust(width) for cell in column]
 
 
 @dataclass(frozen=True)
@@ -68,17 +92,10 @@ class Report:
         blocks = []
         for section in self.sections:
             lines = [f"== {section.title} =="]
-            if section.rows:
-                widths = [
-                    max(len(row[c]) for row in section.rows if c < len(row))
-                    for c in range(max(len(row) for row in section.rows))
-                ]
-                for row in section.rows:
-                    padded = [
-                        cell.ljust(widths[c]) if c < len(row) - 1 else cell
-                        for c, cell in enumerate(row)
-                    ]
-                    lines.append("  ".join(padded).rstrip())
+            if section.columns:
+                *front, last = section.columns
+                cells = zip(*map(_padded, front), last)
+                lines += ["  ".join(row).rstrip() for row in cells]
             blocks.append("\n".join(lines))
         return "\n\n".join(blocks) + "\n"
 
@@ -117,53 +134,61 @@ def _initial_state(scenario: Scenario) -> PureState:
     return state
 
 
-def _basis_for(step_basis: dict[str, str], state: PureState) -> dict[str, str]:
-    return {lbl: step_basis.get(lbl, "Z") for lbl in state.register.labels}
+def _listing(state: PureState, step_basis: dict[str, str]) -> BranchSet:
+    """The branches a listing step renders, refused past ``LISTING_MAX_ROWS``."""
+    basis = {lbl: step_basis.get(lbl, "Z") for lbl in state.register.labels}
+    branches = branch_decompose(state, basis)
+    if len(branches) > LISTING_MAX_ROWS:
+        raise ValueError(
+            f"{len(branches)} branches exceed the listing limit of {LISTING_MAX_ROWS} rows"
+        )
+    return branches
+
+
+def _formatted(title: str, values: np.ndarray) -> list[str]:
+    return [title, *map(fmt, values.tolist())]
 
 
 def _branch_section(title: str, branches: BranchSet) -> Section:
-    rows = [("outcome", "re", "im", "probability")]
-    for branch in branches.branches:
-        rows.append(
-            (
-                branch.outcome,
-                fmt(branch.amplitude.real),
-                fmt(branch.amplitude.imag),
-                fmt(branch.probability),
-            )
-        )
-    return Section(title, tuple(rows))
+    amplitudes = branches.amplitudes
+    return Section(title, (
+        ["outcome", *branches.outcomes().tolist()],
+        _formatted("re", amplitudes.real),
+        _formatted("im", amplitudes.imag),
+        _formatted("probability", branches.probabilities),
+    ))
 
 
 def _ledger_section(title: str, entry: analysis.LedgerEntry, tol: float) -> Section:
-    rows = [("cluster", "measure")]
+    clusters, measures = ["cluster"], ["measure"]
     for cluster in entry.decomposition.clusters:
         shown = [
             member + ("~" if flip else "")
             for member, flip in zip(cluster.members, cluster.flips)
         ]
-        rows.append((" ".join(shown), str(analysis.cluster_measure(cluster, tol))))
-    rows.append(("total", str(entry.total)))
-    return Section(title, tuple(rows))
+        clusters.append(" ".join(shown))
+        measures.append(str(analysis.cluster_measure(cluster, tol)))
+    return Section(title, (clusters + ["total"], measures + [str(entry.total)]))
 
 
-def _agreement_section(title: str, report: analysis.AgreementReport) -> Section:
-    header = ("outcome", "probability") + tuple(f"{a}={b}" for a, b in report.pairs)
-    rows = [header]
-    for row in report.rows:
-        rows.append(
-            (row.outcome, fmt(row.probability))
-            + tuple("yes" if ok else "no" for ok in row.agrees)
-        )
-    rows.append(("aggregate", "") + tuple(fmt(w) for w in report.aggregates))
-    return Section(title, tuple(rows))
+def _agreement_section(
+    title: str, branches: BranchSet, report: analysis.AgreementReport
+) -> Section:
+    columns = [
+        ["outcome", *branches.outcomes().tolist(), "aggregate"],
+        _formatted("probability", branches.probabilities) + [""],
+    ]
+    for (a, b), agrees, total in zip(report.pairs, report.agrees.T, report.aggregates):
+        columns.append([f"{a}={b}", *map(("no", "yes").__getitem__, agrees.tolist()), fmt(total)])
+    return Section(title, tuple(columns))
 
 
 def _recover_section(title: str, branches: BranchSet, inferred: list[str]) -> Section:
-    rows = [("outcome", "probability", "record")]
-    for branch, symbol in zip(branches.branches, inferred):
-        rows.append((branch.outcome, fmt(branch.probability), symbol))
-    return Section(title, tuple(rows))
+    return Section(title, (
+        ["outcome", *branches.outcomes().tolist()],
+        _formatted("probability", branches.probabilities),
+        ["record", *inferred],
+    ))
 
 
 def run(scenario: Scenario, engine: str = "gates") -> Report:
@@ -184,9 +209,8 @@ def run(scenario: Scenario, engine: str = "gates") -> Report:
         Section(
             "initial state",
             (
-                ("subsystems", " ".join(state.register.labels)),
-                ("qubits", str(state.n_qubits)),
-                ("norm", fmt(state.norm())),
+                ("subsystems", "qubits", "norm"),
+                (" ".join(state.register.labels), str(state.n_qubits), fmt(state.norm())),
             ),
         )
     ]
@@ -208,7 +232,7 @@ def run(scenario: Scenario, engine: str = "gates") -> Report:
                     state, step.signal, step.observer, step.basis, execute
                 )
             elif isinstance(step, BranchesStep):
-                branches = branch_decompose(state, _basis_for(step.basis, state))
+                branches = _listing(state, step.basis)
                 sections.append(_branch_section(f"step {number}: branches", branches))
             elif isinstance(step, LedgerStep):
                 ledger = analysis.ledger_record(
@@ -218,11 +242,11 @@ def run(scenario: Scenario, engine: str = "gates") -> Report:
                     _ledger_section(f"step {number}: ledger '{step.tag}'", ledger.entries[-1], tol)
                 )
             elif isinstance(step, AgreementStep):
-                branches = branch_decompose(state, _basis_for(step.basis, state))
+                branches = _listing(state, step.basis)
                 report = analysis.agreement(branches, step.pairs)
-                sections.append(_agreement_section(f"step {number}: agreement", report))
+                sections.append(_agreement_section(f"step {number}: agreement", branches, report))
             elif isinstance(step, RecoverStep):
-                branches = branch_decompose(state, _basis_for(step.basis, state))
+                branches = _listing(state, step.basis)
                 inferred = analysis.recover_record(branches, step.records)
                 sections.append(
                     _recover_section(f"step {number}: record recovery", branches, inferred)
@@ -233,5 +257,5 @@ def run(scenario: Scenario, engine: str = "gates") -> Report:
             raise RunError(number, step, exc) from exc
 
     if scenario.script:
-        sections.append(Section("final state", (("norm", fmt(state.norm())),)))
+        sections.append(Section("final state", (("norm",), (fmt(state.norm()),))))
     return Report(tuple(sections))

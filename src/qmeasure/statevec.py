@@ -46,6 +46,7 @@ qubits is built; asking for one raises :class:`DenseLimitError`.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -72,9 +73,9 @@ MAX_QUBITS = 63
 #: copy, its moduli and one peel's halves (2.5000-2.5017x by tracemalloc at
 #: n = 22 down to 16; 1.50x on an unflagged one; the X rejection of a
 #: Z-frame GHZ builds no vector), so 24 qubits peak near 640 MiB, under an
-#: eighth of an 8 GiB host.  The limit bounds vectors, not branch tables:
-#: listing every branch of a dense state holds about 33 times the vector in
-#: Python objects (a Z listing).
+#: eighth of an 8 GiB host.  The limit bounds vectors, not branch tables: a
+#: listing is held as columns of 24 bytes a row, and the runner refuses to
+#: render more than ``runner.LISTING_MAX_ROWS`` rows.
 DENSE_MAX_QUBITS = 24
 
 UP, DOWN, RIGHT, LEFT = "↑", "↓", "→", "←"
@@ -259,11 +260,8 @@ class PureState:
 
 @dataclass(frozen=True)
 class Branch:
-    """One product-basis outcome of a state with its amplitude.
-
-    ``outcome`` holds one symbol per register position (↑/↓ for Z-selected
-    subsystems, →/← for X-selected ones).
-    """
+    """One row of a :class:`BranchSet`: its outcome, one symbol per register
+    position, and its amplitude."""
 
     outcome: str
     amplitude: complex
@@ -273,22 +271,71 @@ class Branch:
         return abs(self.amplitude) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BranchSet:
     """All branches of a state above the pruning threshold, under one basis choice.
 
-    ``basis`` is the per-position selector tuple ("Z" or "X", aligned with
-    ``register``).  Branches are sorted by outcome with ↑ before ↓ and →
-    before ← at every position, which is ascending amplitude-index order in
-    the rotated frame.
+    Held as columns: ``basis`` is the per-position selector tuple ("Z" or
+    "X", aligned with ``register``), ``index`` the sorted int64 amplitude
+    positions of the branches in the frame of the selectors (bit 0 is ↑ or
+    →, bit 1 is ↓ or ←, position 0 the most significant bit), and
+    ``amplitudes`` the amplitudes at them.  Sorted positions list the
+    outcomes with ↑ before ↓ and → before ← at every position.  Iterating
+    the set yields its rows as :class:`Branch` objects.
     """
 
     register: Register
     basis: tuple[str, ...]
-    branches: tuple[Branch, ...]
+    index: np.ndarray
+    amplitudes: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BranchSet):
+            return NotImplemented
+        return (
+            (self.register, self.basis) == (other.register, other.basis)
+            and np.array_equal(self.index, other.index)
+            and np.array_equal(self.amplitudes, other.amplitudes)
+        )
+
+    def __len__(self) -> int:
+        return self.index.size
+
+    def __iter__(self):
+        return map(Branch, self.outcomes().tolist(), self.amplitudes.tolist())
+
+    @property
+    def branches(self) -> BranchSet:
+        """The set itself, for callers that iterate or count ``.branches``."""
+        return self
 
     def position(self, label: str) -> int:
         return self.register.position(label)
+
+    def bit(self, position: int) -> np.ndarray:
+        """Whether each branch reads bit 1 (↓ or ←) at one register position."""
+        return (self.index & (1 << (len(self.basis) - 1 - position))) != 0
+
+    def outcomes(self) -> np.ndarray:
+        """The outcome strings, one symbol per position, as a ``<Un`` array."""
+        symbols = np.array([Z_SYMBOLS if sel == "Z" else X_SYMBOLS for sel in self.basis])
+        chars = np.where(_bit_matrix(self.index, len(self.basis)), symbols[:, 1], symbols[:, 0])
+        return chars.view(f"<U{len(self.basis)}").reshape(-1)
+
+    @cached_property
+    def probabilities(self) -> np.ndarray:
+        """|amplitude|² per branch, bit for bit Python's ``abs(a) ** 2``:
+        libm's hypot and pow, which ``np.abs`` and squaring differ from in
+        the last bit of some values."""
+        return np.float_power(np.hypot(self.amplitudes.real, self.amplitudes.imag), 2.0)
+
+
+def _bit_matrix(index: np.ndarray, n: int) -> np.ndarray:
+    """The n register bits of each position in ``index``, one uint8 row of
+    0/1 per position, register position 0 first (a strided view)."""
+    size = (n + 7) // 8
+    octets = index.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - size :]
+    return np.unpackbits(octets, axis=1)[:, 8 * size - n :]
 
 
 def normalize_basis(basis: BasisChoice, register: Register) -> tuple[str, ...]:
@@ -519,15 +566,6 @@ def _frame_view(state: PureState, frame: int) -> tuple[np.ndarray | None, np.nda
     return _rotated(state.n_qubits, state._index, state._values, flip)
 
 
-def _outcome_string(index: int, selectors: tuple[str, ...]) -> str:
-    n = len(selectors)
-    chars = []
-    for p, sel in enumerate(selectors):
-        bit = (index >> (n - 1 - p)) & 1
-        chars.append(Z_SYMBOLS[bit] if sel == "Z" else X_SYMBOLS[bit])
-    return "".join(chars)
-
-
 def branch_decompose(state: PureState, basis: BasisChoice) -> BranchSet:
     """Decompose a state into product-basis branches under a per-subsystem basis choice.
 
@@ -546,24 +584,13 @@ def branch_decompose(state: PureState, basis: BasisChoice) -> BranchSet:
     else:
         live = np.abs(values) > PRUNE_TOL
         keep, amps = index[live], values[live]
-    branches = tuple(
-        Branch(_outcome_string(int(i), selectors), complex(a)) for i, a in zip(keep, amps)
-    )
-    return BranchSet(state.register, selectors, branches)
+    return BranchSet(state.register, selectors, keep, amps)
 
 
 def from_branches(branch_set: BranchSet) -> PureState:
     """Rebuild the state a BranchSet was decomposed from (round-trip inverse)."""
     reg = branch_set.register
-    n = len(reg)
-    _check_dense(n)
-    vec = np.zeros(2**n, dtype=np.complex128)
-    for branch in branch_set.branches:
-        index = 0
-        for p, sym in enumerate(branch.outcome):
-            bit = 0 if sym in (UP, RIGHT) else 1
-            index |= bit << (n - 1 - p)
-        vec[index] = branch.amplitude
+    vec = _scatter(len(reg), branch_set.index, branch_set.amplitudes)
     for pos, sel in enumerate(branch_set.basis):
         if sel == "X":
             _rotate_axis(vec, pos)

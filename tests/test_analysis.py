@@ -31,7 +31,6 @@ from qmeasure.protocol import (
     uncorrected_measure,
 )
 from qmeasure.statevec import (
-    Branch,
     BranchSet,
     PureState,
     Register,
@@ -43,7 +42,7 @@ from qmeasure.statevec import (
     tensor,
 )
 
-from conftest import assert_same_clusters, dense_twin, random_pair
+from conftest import assert_same_clusters, dense_twin, labels, random_pair, random_state
 
 
 def normalized(pair):
@@ -310,7 +309,7 @@ class TestAgreement:
     def test_aggregate_one_iff_every_branch_agrees(self, rng):
         state = correlated_pair(("s", "o"), random_pair(rng, 0.1))
         report = agreement(branch_decompose(state, "Z"), [("s", "o")])
-        assert all(all(row.agrees) for row in report.rows)
+        assert report.agrees.all()
 
     def test_unknown_label(self, rng):
         state = correlated_pair(("s", "o"), random_pair(rng))
@@ -327,7 +326,7 @@ class TestAgreement:
             if basis == "X":
                 state = rotate_basis(rotate_basis(state, "s"), "o")
             report = agreement(branch_decompose(state, basis), [("s", "o")])
-            assert len(report.rows) == (2 if listed else 1)
+            assert len(report.agrees) == (2 if listed else 1)
             if listed:
                 assert abs(report.aggregates[0] - small**2) < 1e-30
             else:
@@ -350,7 +349,7 @@ class TestRecoverRecord:
 
     def test_hand_built_inconsistency(self):
         reg = Register(("r1", "r2"))
-        branches = BranchSet(reg, ("Z", "Z"), (Branch("↑↓", 1 + 0j),))
+        branches = BranchSet(reg, ("Z", "Z"), np.array([0b01]), np.array([1 + 0j]))  # ↑↓
         assert recover_record(branches, ["r1", "r2"]) == [INCONSISTENT]
 
     def test_requires_records(self, rng):
@@ -598,6 +597,23 @@ def test_dense_twin_support_peak_memory_stays_near_state_size():
         tracemalloc.stop()
     assert set(env) <= set(decomposition.residual)
     assert peak <= 3 * twin.amplitudes.nbytes
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+@pytest.mark.parametrize("q0", [(1, 0), (0, 1)], ids=["up", "down"])
+def test_half_support_detection_peaks_near_state_size(rng, q0, relabel):
+    # A dense state with q0 fixed: 2^15 support columns, whose bit matrix is
+    # built a block at a time, and a first peel whose halves do not pair.
+    rest = random_state(rng, labels(16)[1:])
+    state = tensor(product_state(("q0",), [q0]), rest)
+    tracemalloc.start()
+    try:
+        decomposition = find_clusters(state, allow_relabeling=relabel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decomposition.clusters[0].members == ("q0",)
+    assert peak <= 3.25 * 16 * 2**16
 
 
 def test_x_rejection_of_a_dense_z_frame_environment_peaks_near_state_size():

@@ -331,6 +331,54 @@ class TestSizeLimits:
         assert main(["run", str(too_dense)]) == 2
         assert capsys.readouterr().err.startswith("error: step 1 (BranchesStep): a dense")
 
+    # Three |→⟩ qubits list 8 Z branches; the listing limit is lowered
+    # around that, since the real one takes 2^20 rows to reach.
+    LISTINGS = [
+        {"op": "branches", "basis": "Z"},
+        {"op": "agreement", "basis": "Z", "pairs": [["a", "b"]]},
+        {"op": "recover", "basis": "Z", "records": ["a", "c"]},
+    ]
+
+    @staticmethod
+    def _eight_branches(step) -> str:
+        return json.dumps({
+            "subsystems": [{"label": lbl, "amplitudes": RIGHT} for lbl in "abc"],
+            "script": [step],
+        })
+
+    @pytest.mark.parametrize("step", LISTINGS, ids=lambda step: step["op"])
+    def test_a_listing_past_the_limit_is_refused_before_formatting(self, monkeypatch, step):
+        monkeypatch.setattr(runner, "LISTING_MAX_ROWS", 7)
+
+        def unformatted(branch_set):
+            raise AssertionError("a refused listing was formatted")
+
+        monkeypatch.setattr(statevec.BranchSet, "outcomes", unformatted)
+        with pytest.raises(RunError, match="8 branches exceed the listing limit of 7 rows") as err:
+            run(parse_scenario(self._eight_branches(step)))
+        assert err.value.step_number == 1
+
+    @pytest.mark.parametrize("step", LISTINGS, ids=lambda step: step["op"])
+    def test_a_listing_at_the_limit_renders(self, monkeypatch, step):
+        monkeypatch.setattr(runner, "LISTING_MAX_ROWS", 8)
+        for engine in ("gates", "oracle"):
+            listing = run(parse_scenario(self._eight_branches(step)), engine=engine).sections[1]
+            assert len(listing.rows) == 1 + 8 + (step["op"] == "agreement")
+
+    def test_the_listing_limit_is_a_coded_cli_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "LISTING_MAX_ROWS", 7)
+        path = tmp_path / "long_listing.json"
+        path.write_text(self._eight_branches(self.LISTINGS[0]))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: step 1 (BranchesStep): 8 branches exceed the listing limit of 7 rows\n"
+        )
+
+    def test_the_listing_limit_admits_20_qubits_and_refuses_24(self):
+        # Every listing of a 20-qubit state renders; a full dense 24-qubit
+        # one, which the dense limit admits, is refused.
+        assert 2**20 <= runner.LISTING_MAX_ROWS < 2**statevec.DENSE_MAX_QUBITS
+
 
 PSI, PHI, CHI = [[0.6, 0.1], [-0.3, 0.7]], [[0.2, -0.5], [0.9, 0]], [[0, 0.8], [-0.4, 0.3]]
 RIGHT = [[1, 0], [1, 0]]

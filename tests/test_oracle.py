@@ -95,7 +95,16 @@ def test_kronecker_chains_equal_the_product_form_bytewise(n):
 
 
 @pytest.mark.parametrize(
-    "op", [Swap("q0", "q9"), Imprint("q9", "q0"), InverseImprint("q0", "q9")], ids=repr
+    "op",
+    [
+        Swap("q0", "q9"),
+        Imprint("q9", "q0"),
+        InverseImprint("q0", "q9"),
+        RotateBasis("q0"),
+        RotateBasis("q5"),
+        RotateBasis("q9"),
+    ],
+    ids=repr,
 )
 def test_gate_matrix_peaks_near_one_matrix(op):
     reg = Register(labels(10))

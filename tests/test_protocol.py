@@ -30,7 +30,6 @@ from qmeasure.protocol import (
     uncorrected_script,
 )
 from qmeasure.statevec import (
-    Branch,
     BranchSet,
     PureState,
     Register,
@@ -512,12 +511,8 @@ class TestIdealMeasure:
             BranchSet(
                 state.register,
                 ("X", "Z", "X"),
-                (
-                    Branch("→↑→", pn[0] * INV_SQRT2),
-                    Branch("→↓→", pn[1] * INV_SQRT2),
-                    Branch("←↑←", pn[0] * INV_SQRT2),
-                    Branch("←↓←", -pn[1] * INV_SQRT2),
-                ),
+                np.array([0b000, 0b010, 0b101, 0b111]),  # →↑→, →↓→, ←↑←, ←↓←
+                np.array([pn[0], pn[1], pn[0], -pn[1]]) * INV_SQRT2,
             )
         )
         assert approx_eq(out, expected, 1e-12)

@@ -8,7 +8,6 @@ from qmeasure.gates import rotate_basis
 from qmeasure.statevec import (
     DENSE_MAX_QUBITS,
     MAX_QUBITS,
-    Branch,
     BranchSet,
     DenseLimitError,
     PureState,
@@ -277,7 +276,7 @@ class TestBranchDecompose:
 class TestFromBranches:
     def test_manual_branch_set(self):
         reg = Register(("s",))
-        bs = BranchSet(reg, ("X",), (Branch("→", 1 + 0j),))
+        bs = BranchSet(reg, ("X",), np.array([0]), np.array([1 + 0j]))
         assert approx_eq(from_branches(bs), product_state(("s",), [(1, 1)]), 1e-12)
 
 
@@ -317,7 +316,7 @@ class TestSizeLimits:
         with pytest.raises(DenseLimitError, match=f"over {n} qubits"):
             product_state(labels(n), [(1, 1)] * n)
         with pytest.raises(DenseLimitError, match=f"over {n} qubits"):
-            from_branches(BranchSet(Register(labels(n)), ("Z",) * n, (Branch("↑" * n, 1),)))
+            from_branches(BranchSet(Register(labels(n)), ("Z",) * n, np.array([0]), np.array([1 + 0j])))
 
     def test_dense_product_is_refused_past_the_limit(self, monkeypatch):
         # Reaching tensor's dense path past the real limit takes a dense
