@@ -53,7 +53,6 @@ from .scenario import Scenario, ScenarioError, parse_scenario
 from .statevec import (
     DENSE_MAX_QUBITS,
     BasisChoice,
-    Branch,
     BranchSet,
     DenseLimitError,
     PureState,

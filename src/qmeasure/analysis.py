@@ -197,16 +197,9 @@ def _peel(
         halves = amp.reshape(-1, 2, 1 << shifts[0])
         keys, v_up, v_down = None, halves[:, 0].copy(), halves[:, 1].copy()
     else:
-        # Clearing bits that are constant within a half keeps its order.
         mask = sum(1 << s for s in shifts)
         up = sum(int(f) << s for f, s in zip(flips, shifts))
-        is_up = (idx & mask) == up
-        keys = idx[is_up] & ~mask
-        if np.array_equal(keys, idx[~is_up] & ~mask):
-            v_up, v_down = amp[is_up], amp[~is_up]
-        else:
-            del keys  # freed before _halves pairs the columns anew
-            keys, v_up, v_down = _halves(idx, amp, mask, up)
+        keys, v_up, v_down = _halves(idx, amp, mask, up)
 
     n_up, n_down = float(np.linalg.norm(v_up)), float(np.linalg.norm(v_down))
     norm = float(np.hypot(n_up, n_down))
@@ -236,8 +229,9 @@ def _peel(
             # would leave is then no longer bounded by these columns.
             cut = max(cut, 1.0)
         return None, cut
-    if n_pick - n_other > _SQRT2 * cut * norm:
-        # The uncut amplitudes keep the same slice, renormalized alike.
+    if not cut or n_pick - n_other > _SQRT2 * cut * norm:
+        # The uncut amplitudes (these columns, if nothing was cut) keep the
+        # same slice, renormalized alike.
         cut *= norm / n_pick
     else:
         # Near a tie they may keep the other slice, which lies off the

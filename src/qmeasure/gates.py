@@ -76,13 +76,6 @@ class RotateBasis:
 GateOp = Imprint | InverseImprint | Swap | RotateBasis
 
 
-def _slice_at(n: int, fixed: dict[int, int]) -> tuple:
-    ix: list = [slice(None)] * n
-    for pos, val in fixed.items():
-        ix[pos] = val
-    return tuple(ix)
-
-
 def _moved(state: PureState, to: np.ndarray, frame: int) -> PureState:
     """The state whose amplitudes at its support index move to ``to``."""
     order = np.argsort(to)
@@ -110,13 +103,9 @@ def imprint(state: PureState, source: str, target: str) -> PureState:
         fired = (index >> (n - 1 - ps)) & 1
         return _moved(state, index ^ (fired << (n - 1 - pt)), state._frame)
     psi = state._values.reshape([2] * n)
-    out = np.empty_like(psi)
-    keep = _slice_at(n, {ps: 0})
-    out[keep] = psi[keep]
-    lo = _slice_at(n, {ps: 1, pt: 0})
-    hi = _slice_at(n, {ps: 1, pt: 1})
-    out[lo] = psi[hi]
-    out[hi] = psi[lo]
+    out = psi.copy()
+    fired = (slice(None),) * ps + (1,)  # the half where the source is ↓
+    out[fired] = np.flip(psi[fired], pt - (pt > ps))
     return _adopt(reg, out.reshape(-1), None, state._frame)
 
 

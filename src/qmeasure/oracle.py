@@ -3,8 +3,8 @@
 This module deliberately shares no kernel code with :mod:`qmeasure.gates`.
 Each gate is a full 2^n x 2^n matrix, applied by plain matrix-vector
 multiplication.  A basis rotation writes its 2x2 block, and an imprint or
-swap the 4x4 two-qubit core it builds from Kronecker products of 2x2
-blocks, into one zeroed full matrix, once per setting of the other qubits,
+swap the 4x4 two-qubit core built at import from Kronecker products of
+2x2 blocks, into one zeroed full matrix, once per setting of the other qubits,
 with the bytes the full Kronecker chains would have; an inverse imprint
 conjugates that matrix in place.  So building a gate peaks at one matrix,
 256 MiB at the 12-qubit cap.  Naive on purpose: it is the independent
@@ -29,35 +29,21 @@ _Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
 _P_UP = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 _P_DOWN = np.array([[0, 0], [0, 1]], dtype=np.complex128)
+_I = np.eye(2, dtype=np.complex128)
 
-
-def _chain(blocks: dict[int, np.ndarray], n: int) -> np.ndarray:
-    """Kronecker chain of 2x2 blocks on the given qubits, identity elsewhere.
-
-    Runs of untouched qubits enter as one ``np.eye`` each.  By the
-    mixed-product property, the chain with blocks A at p and B at q equals
-    the product of the single-block chains, at a fraction of its cost.
-    """
-    out = np.ones((1, 1), dtype=np.complex128)
-    start = 0
-    for pos in sorted(blocks) + [n]:
-        if pos > start:
-            out = _kron(out, np.eye(2 ** (pos - start), dtype=np.complex128))
-        if pos < n:
-            out = _kron(out, blocks[pos])
-        start = pos + 1
-    return out
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two matrices: the same products a[i, j] * b[k, l], in one broadcast."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
+#: The two-qubit cores, from Kronecker products of the 2x2 blocks: an
+#: imprint's with the source first and with it second, and the swap's.
+_IMPRINT_CORES = (
+    np.kron(_P_UP, _I) + np.kron(_P_DOWN, _X),
+    np.kron(_I, _P_UP) + np.kron(_X, _P_DOWN),
+)
+_SWAP_CORE = sum(np.kron(pauli, pauli) for pauli in (_I, _X, _Y, _Z)) / 2.0
 
 
 def _embed_pair(core: np.ndarray, p: int, q: int, n: int) -> np.ndarray:
     """Full matrix of a 4x4 core on qubits p < q, identity on all others.
 
-    The full n-qubit chains the core was summed from are zero off its
+    The full n-qubit Kronecker chains of the core's terms are zero off its
     blocks and repeat its entries on each, so their sum has these bytes
     (the tests compare them bytewise).  The block-diagonal view of the
     zeroed matrix reaches every block in one write.
@@ -72,18 +58,13 @@ def gate_matrix(op: GateOp, register: Register) -> np.ndarray:
     n = len(register)
     if isinstance(op, Imprint):
         ps, pt = register.position(op.source), register.position(op.target)
-        s, t = int(ps > pt), int(pt > ps)  # the operands' places in the core
-        core = _chain({s: _P_UP}, 2) + _chain({s: _P_DOWN, t: _X}, 2)
-        return _embed_pair(core, min(ps, pt), max(ps, pt), n)
+        return _embed_pair(_IMPRINT_CORES[ps > pt], min(ps, pt), max(ps, pt), n)
     if isinstance(op, InverseImprint):
         forward = gate_matrix(Imprint(op.source, op.target), register)
         return np.conjugate(forward, out=forward).T
     if isinstance(op, Swap):
         pa, pb = register.position(op.a), register.position(op.b)
-        core = np.eye(4, dtype=np.complex128)
-        for pauli in (_X, _Y, _Z):
-            core = core + _chain({0: pauli, 1: pauli}, 2)
-        return _embed_pair(core / 2.0, min(pa, pb), max(pa, pb), n)
+        return _embed_pair(_SWAP_CORE, min(pa, pb), max(pa, pb), n)
     if isinstance(op, RotateBasis):
         p = register.position(op.target)
         out = np.zeros((2**p, 2, 2 ** (n - p - 1)) * 2, dtype=np.complex128)

@@ -24,7 +24,9 @@ unique int64 positions, and the amplitudes at them, outside which every
 amplitude is exactly 0.  That pair is the state's source of truth; it is
 kept only while it lists at most 2^n · ``SPARSE_SHARE`` positions, the share
 below which moving the indexed amplitudes beats a strided pass (the
-crossover lies near 1/8 at n = 20).
+crossover lies near 1/8 at n = 20), and never more than that share of
+2^``DENSE_MAX_QUBITS`` (2^20): over more qubits, where no dense vector can
+take over, a larger index is refused as the dense vector would be.
 
 Every state also carries a per-qubit basis frame, a bitmask with the bit
 order of the amplitude index: the state is H^frame · φ, where H is the
@@ -102,6 +104,11 @@ def _check_dense(n: int) -> None:
         )
 
 
+def _sparse_limit(n: int) -> float:
+    """Most positions a support index over n qubits lists (module docstring)."""
+    return 2 ** min(n, DENSE_MAX_QUBITS) * SPARSE_SHARE
+
+
 def _scatter(n: int, index: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The dense 2^n vector holding ``values`` at ``index`` and 0 elsewhere."""
     _check_dense(n)
@@ -169,14 +176,14 @@ def _adopt(
     Internal fast path for gate kernels and state builders.  ``arr`` is the
     dense 2^n vector or, when ``index`` is given, the amplitudes at that
     support index (see the module docstring), of φ in the state H^frame · φ;
-    an index beyond ``SPARSE_SHARE`` is scattered into the dense vector and
-    dropped.  The state keeps ``arr`` as its stored values (``_values``);
+    an index beyond :func:`_sparse_limit` is scattered into the dense vector
+    and dropped.  The state keeps ``arr`` as its stored values (``_values``);
     the norm invariant is still enforced over them, but the copy and
     finiteness scan are skipped because unitary kernels and products of
     validated states preserve both, and the arrays are owned by the caller.
     """
     if index is not None:
-        if index.size > 2 ** len(register) * SPARSE_SHARE:
+        if index.size > _sparse_limit(len(register)):
             arr, index = _scatter(len(register), index, arr), None
         else:
             index.setflags(write=False)
@@ -258,19 +265,6 @@ class PureState:
         return f"PureState(register={self.register.labels}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class Branch:
-    """One row of a :class:`BranchSet`: its outcome, one symbol per register
-    position, and its amplitude."""
-
-    outcome: str
-    amplitude: complex
-
-    @property
-    def probability(self) -> float:
-        return abs(self.amplitude) ** 2
-
-
 @dataclass(frozen=True, eq=False)
 class BranchSet:
     """All branches of a state above the pruning threshold, under one basis choice.
@@ -280,8 +274,7 @@ class BranchSet:
     positions of the branches in the frame of the selectors (bit 0 is ↑ or
     →, bit 1 is ↓ or ←, position 0 the most significant bit), and
     ``amplitudes`` the amplitudes at them.  Sorted positions list the
-    outcomes with ↑ before ↓ and → before ← at every position.  Iterating
-    the set yields its rows as :class:`Branch` objects.
+    outcomes with ↑ before ↓ and → before ← at every position.
     """
 
     register: Register
@@ -301,12 +294,10 @@ class BranchSet:
     def __len__(self) -> int:
         return self.index.size
 
-    def __iter__(self):
-        return map(Branch, self.outcomes().tolist(), self.amplitudes.tolist())
-
     @property
     def branches(self) -> BranchSet:
-        """The set itself, for callers that iterate or count ``.branches``."""
+        """The set itself, for callers that count ``len(result.branches)``
+        (the benchmark's span tracer in ``bench/spans.py``)."""
         return self
 
     def position(self, label: str) -> int:
@@ -434,9 +425,8 @@ def tensor(a: PureState, b: PureState) -> PureState:
         raise ValueError(f"registers share labels: {sorted(overlap)}")
     reg = Register(a.register.labels + b.register.labels)
     frame = (a._frame << b.n_qubits) | b._frame
-    limit = 2 ** len(reg) * SPARSE_SHARE
-    sa, sb = _known_support(a, limit), _known_support(b, limit)
-    if sa is None or sb is None or sa[0].size * sb[0].size > limit:
+    sa, sb = _known_support(a, len(reg)), _known_support(b, len(reg))
+    if sa is None or sb is None or sa[0].size * sb[0].size > _sparse_limit(len(reg)):
         _check_dense(len(reg))
         outer = np.multiply.outer(_stored_dense(a), _stored_dense(b))
         return _adopt(reg, outer.reshape(-1), None, frame)
@@ -452,13 +442,14 @@ def _stored_dense(state: PureState) -> np.ndarray:
     return _scatter(state.n_qubits, state._index, state._values)
 
 
-def _known_support(state: PureState, limit: float) -> tuple[np.ndarray, np.ndarray] | None:
+def _known_support(state: PureState, n: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The support index of the state's stored amplitudes φ and the
     amplitudes at it, or φ's nonzero positions and amplitudes when it has no
-    index but is small enough (at most ``limit`` positions) to scan."""
+    index but is small enough to scan: at most ``SPARSE_SHARE`` of the
+    positions of an n-qubit product."""
     if state._index is not None:
         return state._index, state._values
-    if state.dim <= limit:
+    if state.dim <= 2**n * SPARSE_SHARE:
         index = np.flatnonzero(state._values)
         return index, state._values[index]
     return None
@@ -507,8 +498,12 @@ def _halves(
     at each of them with the bits set as in ``up`` (the up half) and at its
     partner in the other half, exact zeros where a position is not indexed.
     """
-    keys, slot = np.unique(index & ~mask, return_inverse=True)
     is_up = (index & mask) == up
+    keys = index[is_up] & ~mask  # sorted: the cleared bits are constant in a half
+    if np.array_equal(keys, index[~is_up] & ~mask):  # the halves are paired already
+        return keys, values[is_up], values[~is_up]
+    del keys  # freed before the columns are paired anew
+    keys, slot = np.unique(index & ~mask, return_inverse=True)
     v_up = np.zeros(keys.size, dtype=np.complex128)
     v_down = np.zeros(keys.size, dtype=np.complex128)
     v_up[slot[is_up]] = values[is_up]
@@ -525,12 +520,11 @@ def _rotated(
 
     The final support is known before any step: 2^(flags) positions for each
     distinct indexed position with the flagged bits cleared.  The view stays
-    on the index when that lists at most 2^n · ``SPARSE_SHARE`` positions,
-    and never more than that share of 2^``DENSE_MAX_QUBITS``, so that a view
-    a larger register cannot hold fails on the dense limit before its index
-    grows; otherwise the dense kernel rotates a copy in place.  Absent
-    partners enter as exact zeros, as in the dense kernel, so both give the
-    same bits.
+    on the index when that lists at most :func:`_sparse_limit` positions, so
+    that a view a larger register cannot hold fails on the dense limit
+    before its index grows; otherwise the dense kernel rotates a copy in
+    place.  Absent partners enter as exact zeros, as in the dense kernel, so
+    both give the same bits.
     """
     flagged = [pos for pos in range(n) if (mask >> (n - 1 - pos)) & 1]
     if index is None:
@@ -538,7 +532,7 @@ def _rotated(
     else:
         keys = np.sort(index & ~mask)
         distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
-        if distinct << len(flagged) <= 2 ** min(n, DENSE_MAX_QUBITS) * SPARSE_SHARE:
+        if distinct << len(flagged) <= _sparse_limit(n):
             for pos in flagged:
                 bit = 1 << (n - 1 - pos)
                 keys, lo, hi = _halves(index, values, bit, 0)

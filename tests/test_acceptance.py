@@ -202,7 +202,7 @@ def test_criterion_6_different_basis_objectivity_loss():
         out = run_scenario_different_basis((1, 0))
         assert approx_eq(out, ScenarioOracle.different_basis((1, 0)), 1e-12)
         branches = branch_decompose(out, "X")
-        got = {b.outcome: b.amplitude for b in branches.branches}
+        got = dict(zip(branches.outcomes().tolist(), branches.amplitudes.tolist()))
         assert set(got) == {"→→→→", "→→←←", "←←→→", "←←←←"}
         assert all(abs(abs(a) - 0.5) < 1e-12 for a in got.values())
         report = agreement(branches, [("s", "o1")])
@@ -211,7 +211,7 @@ def test_criterion_6_different_basis_objectivity_loss():
         balanced = run_scenario_different_basis((1, 1))
         assert approx_eq(balanced, ScenarioOracle.different_basis((1, 1)), 1e-12)
         rotated = branch_decompose(balanced, "X")
-        survivors = {b.outcome: b.amplitude for b in rotated.branches}
+        survivors = dict(zip(rotated.outcomes().tolist(), rotated.amplitudes.tolist()))
         assert abs(survivors.get("→→←←", 0.0)) < 1e-12
         assert abs(survivors.get("←←→→", 0.0)) < 1e-12
         report = agreement(rotated, [("s", "o1")])
@@ -235,12 +235,12 @@ def test_criterion_7_appendix_record_recovery(rng):
             }
             branches = branch_decompose(out, basis)
             inferred = recover_record(branches, records)
-            assert branches.branches and INCONSISTENT not in inferred
+            assert len(branches) and INCONSISTENT not in inferred
             # each record symbol matches o1's pre-rotation value: branch
             # weight is the corresponding signal amplitude over 2
-            for branch, symbol in zip(branches.branches, inferred):
+            for amplitude, symbol in zip(branches.amplitudes.tolist(), inferred):
                 expected = abs(pn[0]) / 2 if symbol == "↑" else abs(pn[1]) / 2
-                assert abs(abs(branch.amplitude) - expected) < 1e-12
+                assert abs(abs(amplitude) - expected) < 1e-12
             # and the pre-rotation state already carried those records
             intermediate_labels = out.register.labels
             pairs = [psi, (1, 1), (1, 0)] + [(1, 0)] * m + [(1, 1)]
@@ -248,10 +248,10 @@ def test_criterion_7_appendix_record_recovery(rng):
             intermediate = ideal_measure(intermediate, "s", "o1", "Z")
             for record in records:
                 intermediate = ideal_measure(intermediate, "o1", record, "Z")
-            for branch in branch_decompose(intermediate, "Z").branches:
-                o1 = branch.outcome[2]
+            for outcome in branch_decompose(intermediate, "Z").outcomes().tolist():
+                o1 = outcome[2]
                 assert all(
-                    branch.outcome[3 + j] == o1 for j in range(m)
+                    outcome[3 + j] == o1 for j in range(m)
                 ), "records must copy o1 before the basis rotation"
 
 

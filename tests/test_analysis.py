@@ -876,3 +876,16 @@ class TestPeelRejectBound:
                 assert peeled is not None
             else:
                 assert peeled is None and new_cut == (cut if where > 1.0 else 1.0)
+
+
+def test_tied_singleton_peels_on_uncut_columns_match_the_dense_reference():
+    # Every |→⟩ peel is a tie of its two slices.  With nothing cut the bound
+    # carried between peels must stay 0; grown by √2 per tie from rounding
+    # alone, it would pass the tolerance and move the last qubits to the
+    # residual.
+    plus = [f"p{i}" for i in range(10)]
+    state = tensor(make_ghz(("g0", "g1"), (1, 1)), product_state(plus, [(1, 1)] * 10))
+    got = find_clusters(state, tol=1e-13)
+    want = dense_find_clusters(state, tol=1e-13)
+    assert got.residual == want.residual == ()
+    assert [c.members for c in got.clusters] == [c.members for c in want.clusters]

@@ -87,9 +87,8 @@ def test_columns_match_the_per_row_reference(data):
 
     branches = branch_decompose(state, dict(zip(reg.labels, selectors)))
     rows = reference_rows(state, selectors)
-    assert len(branches.branches) == len(rows)
-    assert branches.outcomes().tolist() == [outcome for outcome, _ in rows]
-    assert [(b.outcome, b.amplitude) for b in branches.branches] == rows
+    assert len(branches) == len(rows)
+    assert list(zip(branches.outcomes().tolist(), branches.amplitudes.tolist())) == rows
     expected = np.array([abs(a) ** 2 for _, a in rows], dtype=np.float64)
     assert branches.probabilities.tobytes() == expected.tobytes()
 

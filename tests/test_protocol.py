@@ -146,7 +146,7 @@ class TestCorrectedMeasure:
         state, spec = corrected_setup((1, 0), phi, chi, 3)
         out = corrected_measure(state, spec)
         branches = branch_decompose(out, "Z")
-        so = {(b.outcome[0], b.outcome[1]) for b in branches.branches}
+        so = {(outcome[0], outcome[1]) for outcome in branches.outcomes().tolist()}
         assert so == {("↑", "↑")}
 
     def test_factorization_and_oracle_n4(self, rng):
@@ -206,10 +206,10 @@ class TestCorrectedMeasure:
         swapped = branch_decompose(corrected_measure(swapped_state, spec), "Z")
         flip = {"↑": "↓", "↓": "↑"}
         expected = {}
-        for branch in out.branches:
-            flipped = "".join(flip[c] for c in branch.outcome[:4]) + branch.outcome[4]
-            expected[flipped] = branch.amplitude
-        got = {b.outcome: b.amplitude for b in swapped.branches}
+        for outcome, amplitude in zip(out.outcomes().tolist(), out.amplitudes.tolist()):
+            flipped = "".join(flip[c] for c in outcome[:4]) + outcome[4]
+            expected[flipped] = amplitude
+        got = dict(zip(swapped.outcomes().tolist(), swapped.amplitudes.tolist()))
         assert set(got) == set(expected)
         for outcome, amplitude in expected.items():
             assert abs(got[outcome] - amplitude) < 1e-12
@@ -499,8 +499,8 @@ class TestIdealMeasure:
         state = product_state(("s", "o1", "o2"), [psi, (1, 0), (1, 0)])
         state = ideal_measure(state, "s", "o1", "Z")
         state = ideal_measure(state, "s", "o2", "Z")
-        for branch in branch_decompose(state, "Z").branches:
-            assert branch.outcome[0] == branch.outcome[1] == branch.outcome[2]
+        for outcome in branch_decompose(state, "Z").outcomes().tolist():
+            assert outcome[0] == outcome[1] == outcome[2]
 
     def test_x_measure_of_correlated_pair(self, rng):
         psi = random_pair(rng)
@@ -591,7 +591,7 @@ class TestDifferentBasisScenario:
         out = run_scenario_different_basis((1, 0))
         assert approx_eq(out, ScenarioOracle.different_basis((1, 0)), 1e-12)
         branches = branch_decompose(out, "X")
-        got = {b.outcome: b.amplitude for b in branches.branches}
+        got = dict(zip(branches.outcomes().tolist(), branches.amplitudes.tolist()))
         assert set(got) == {"→→→→", "→→←←", "←←→→", "←←←←"}
         for amplitude in got.values():
             assert abs(amplitude - 0.5) < 1e-12
@@ -599,7 +599,8 @@ class TestDifferentBasisScenario:
     def test_plus_signal_keeps_only_agreement_branches(self):
         out = run_scenario_different_basis((1, 1))
         assert approx_eq(out, ScenarioOracle.different_basis((1, 1)), 1e-12)
-        got = {b.outcome: b.amplitude for b in branch_decompose(out, "X").branches}
+        branches = branch_decompose(out, "X")
+        got = dict(zip(branches.outcomes().tolist(), branches.amplitudes.tolist()))
         assert set(got) == {"→→→→", "←←←←"}
         for amplitude in got.values():
             assert abs(amplitude - INV_SQRT2) < 1e-12
@@ -607,14 +608,15 @@ class TestDifferentBasisScenario:
     def test_minus_signal_keeps_only_disagreement_branches(self):
         out = run_scenario_different_basis((1, -1))
         assert approx_eq(out, ScenarioOracle.different_basis((1, -1)), 1e-12)
-        got = set(b.outcome for b in branch_decompose(out, "X").branches)
+        got = set(branch_decompose(out, "X").outcomes().tolist())
         assert got == {"→→←←", "←←→→"}
 
     def test_generic_signal_amplitude_pattern(self, rng):
         psi = random_pair(rng)
         pn = normalized(psi)
         out = run_scenario_different_basis(psi)
-        got = {b.outcome: b.amplitude for b in branch_decompose(out, "X").branches}
+        branches = branch_decompose(out, "X")
+        got = dict(zip(branches.outcomes().tolist(), branches.amplitudes.tolist()))
         plus, minus = (pn[0] + pn[1]) / 2, (pn[0] - pn[1]) / 2
         expected = {"→→→→": plus, "←←←←": plus, "→→←←": minus, "←←→→": minus}
         for outcome, amplitude in expected.items():
@@ -634,17 +636,17 @@ class TestAppendixScenario:
         out = run_scenario_appendix((1, 0), 1)
         assert approx_eq(out, ScenarioOracle.appendix((1, 0), 1), 1e-12)
         branches = branch_decompose(out, self.record_basis(out))
-        assert branches.branches, "no branches survived"
-        for branch in branches.branches:
-            assert branch.outcome[branches.position("^1o1")] == "↑"
+        assert len(branches), "no branches survived"
+        for outcome in branches.outcomes().tolist():
+            assert outcome[branches.position("^1o1")] == "↑"
 
     def test_two_records_always_agree(self, rng):
         psi = random_pair(rng)
         out = run_scenario_appendix(psi, 2)
         assert approx_eq(out, ScenarioOracle.appendix(psi, 2), 1e-12)
         branches = branch_decompose(out, self.record_basis(out))
-        for branch in branches.branches:
-            assert branch.outcome[branches.position("^1o1")] == branch.outcome[branches.position("^2o1")]
+        for outcome in branches.outcomes().tolist():
+            assert outcome[branches.position("^1o1")] == outcome[branches.position("^2o1")]
 
     def test_branch_weights_follow_the_record(self):
         # record-ket expansion: |amplitude| is |psi_r| / 2 branch by branch
@@ -652,19 +654,19 @@ class TestAppendixScenario:
         out = run_scenario_appendix(psi, 1)
         assert approx_eq(out, ScenarioOracle.appendix(psi, 1), 1e-12)
         branches = branch_decompose(out, self.record_basis(out))
-        assert len(branches.branches) == 8
-        for branch in branches.branches:
-            assert abs(abs(branch.amplitude) - INV_SQRT2 / 2) < 1e-12
+        assert len(branches) == 8
+        for amplitude in branches.amplitudes.tolist():
+            assert abs(abs(amplitude) - INV_SQRT2 / 2) < 1e-12
 
     def test_record_tracks_pre_rotation_value(self, rng):
         psi = random_pair(rng, 0.1)
         pn = normalized(psi)
         out = run_scenario_appendix(psi, 1)
         branches = branch_decompose(out, self.record_basis(out))
-        for branch in branches.branches:
-            record = branch.outcome[branches.position("^1o1")]
+        for outcome, amplitude in zip(branches.outcomes().tolist(), branches.amplitudes.tolist()):
+            record = outcome[branches.position("^1o1")]
             expected_mag = abs(pn[0]) / 2 if record == "↑" else abs(pn[1]) / 2
-            assert abs(abs(branch.amplitude) - expected_mag) < 1e-12
+            assert abs(abs(amplitude) - expected_mag) < 1e-12
 
     def test_rejects_bad_record_count(self):
         with pytest.raises(ValueError, match="record"):

@@ -220,21 +220,21 @@ class TestApproxEq:
 class TestBranchDecompose:
     def test_basis_state_single_branch(self):
         bs = branch_decompose(basis_state(("s", "o"), "↑↑"), "Z")
-        assert [(b.outcome, b.amplitude) for b in bs.branches] == [("↑↑", 1 + 0j)]
+        assert (bs.outcomes().tolist(), bs.amplitudes.tolist()) == (["↑↑"], [1 + 0j])
 
     def test_plus_state_in_z(self):
         bs = branch_decompose(product_state(("s",), [(1, 1)]), "Z")
-        assert [b.outcome for b in bs.branches] == ["↑", "↓"]
-        assert all(abs(b.amplitude - INV_SQRT2) < 1e-15 for b in bs.branches)
+        assert bs.outcomes().tolist() == ["↑", "↓"]
+        assert all(abs(a - INV_SQRT2) < 1e-15 for a in bs.amplitudes.tolist())
 
     def test_plus_state_in_x_is_one_branch(self):
         bs = branch_decompose(product_state(("s",), [(1, 1)]), "X")
-        assert [b.outcome for b in bs.branches] == ["→"]
+        assert bs.outcomes().tolist() == ["→"]
 
     def test_mixed_basis_map(self):
         state = product_state(("s", "o"), [(1, 1), (1, 0)])
         bs = branch_decompose(state, {"s": "X", "o": "Z"})
-        assert [(b.outcome,) for b in bs.branches] == [("→↑",)]
+        assert bs.outcomes().tolist() == ["→↑"]
 
     def test_requires_full_coverage(self):
         state = basis_state(("s", "o"), "↑↑")
@@ -247,19 +247,19 @@ class TestBranchDecompose:
         eps = 1e-13
         vec = np.array([np.sqrt(1 - eps**2), eps])
         bs = branch_decompose(PureState(Register(("s",)), vec), "Z")
-        assert [b.outcome for b in bs.branches] == ["↑"]
+        assert bs.outcomes().tolist() == ["↑"]
 
     def test_branches_sorted_and_distinct(self, rng):
         state = random_state(rng, labels(3))
         bs = branch_decompose(state, "Z")
-        outcomes = [b.outcome for b in bs.branches]
+        outcomes = bs.outcomes().tolist()
         assert outcomes == sorted(outcomes, key=lambda o: [("↑↓→←").index(c) % 2 for c in o])
         assert len(set(outcomes)) == len(outcomes)
 
     def test_probabilities_sum_to_one(self, rng):
         state = random_state(rng, labels(4))
         bs = branch_decompose(state, {lbl: ("X" if i % 2 else "Z") for i, lbl in enumerate(labels(4))})
-        assert abs(sum(b.probability for b in bs.branches) - 1.0) < 1e-9
+        assert abs(sum(bs.probabilities.tolist()) - 1.0) < 1e-9
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -326,3 +326,14 @@ class TestSizeLimits:
         b = product_state(("x", "y", "z", "w"), [(1, 1)] * 4)
         with pytest.raises(DenseLimitError, match="over 7 qubits"):
             tensor(a, b)
+
+    def test_sparse_product_past_the_limit_keeps_the_dense_limit_share(self, monkeypatch):
+        # Past DENSE_MAX_QUBITS a product's index may list SPARSE_SHARE of
+        # 2^DENSE_MAX_QUBITS positions, 4 with the limit lowered to 6; a
+        # dense part small against the product is still scanned for it.
+        monkeypatch.setattr(statevec, "DENSE_MAX_QUBITS", 6)
+        sparse_part = product_state(labels(6), [(1, 1)] + [(1, 0)] * 5)
+        product = tensor(sparse_part, make_ghz(("w", "x", "y", "z"), (1, 1)))
+        assert product._index.size == 4
+        with pytest.raises(DenseLimitError, match="over 11 qubits"):
+            tensor(make_ghz(labels(8), (1, 1)), product_state(("x", "y", "z"), [(1, 1)] * 3))

@@ -270,9 +270,9 @@ def assert_same_as_twin(state: PureState, twin: PureState, gen) -> None:
     mixed = {lbl: "ZX"[int(gen.integers(0, 2))] for lbl in labels}
     for basis in ("Z", "X", mixed):
         ours, theirs = branch_decompose(state, basis), branch_decompose(twin, basis)
-        assert [b.outcome for b in ours.branches] == [b.outcome for b in theirs.branches]
-        for a, b in zip(ours.branches, theirs.branches):
-            assert abs(a.amplitude - b.amplitude) <= 1e-12
+        assert ours.outcomes().tolist() == theirs.outcomes().tolist()
+        for a, b in zip(ours.amplitudes.tolist(), theirs.amplitudes.tolist()):
+            assert abs(a - b) <= 1e-12
     for a, b in zip(_ready_offs(state), _ready_offs(twin)):
         assert (a is None) == (b is None) and (a is None or abs(a - b) <= 2e-3 * b)
     for relabel in (False, True):
