@@ -10,9 +10,9 @@ branch structure suggests:
 1. group subsystems whose computational bits co-vary over every branch of
    the state's support (equal everywhere, or opposite everywhere in
    relabeling mode) into candidate clusters;
-2. try to factor each candidate out of the support columns, which keep their
-   register positions with the bits of factored members cleared; candidates
-   that do not factor cleanly are moved to the residual.
+2. try to factor each candidate out of every nonzero amplitude, the columns
+   keeping their register positions with the bits of factored members
+   cleared; candidates that do not factor cleanly are moved to the residual.
 
 A state with basis flags, H^frame · φ, is read off the factors of its stored
 amplitudes φ first, and its Z view only where they do not decide it.
@@ -31,10 +31,10 @@ import numpy as np
 from .statevec import DENSE_MAX_QUBITS, X_SYMBOLS, Z_SYMBOLS, BranchSet, PureState
 from .statevec import _bit_matrix, _frame_view, _framed, _halves
 
-#: Default detection tolerance.  Two roles: the support cutoff on
-#: |amplitude|, and the relative 2-norm reconstruction error accepted per
-#: factored cluster.  The 2-norm of the amplitudes at or below the cutoff,
-#: times √2, counts against that error.
+#: Default detection tolerance.  Two roles: the cutoff on |amplitude| of the
+#: support the candidate clusters are read from, and the relative 2-norm
+#: reconstruction error, over every nonzero amplitude, accepted per factored
+#: cluster.
 DEFAULT_TOL = 1e-9
 
 _SQRT2 = 2.0**0.5
@@ -111,28 +111,35 @@ class AgreementReport:
     aggregates: tuple[float, ...]
 
 
-def _support(state: PureState, cutoff: float) -> tuple[np.ndarray | None, np.ndarray, float]:
-    """Support columns (index, amplitude) above the cutoff, and the 2-norm of
-    the rest relative to theirs.
+def _support(
+    state: PureState, cutoff: float
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
+    """Every nonzero column (index, amplitude) of the state, and the sorted
+    positions of those above the cutoff.
 
     Reads the Z-frame amplitudes, clearing the state's basis flags on its
     support index while that stays sparse, and only the amplitudes at the
-    index when there is one.  A full support, where no two positions co-vary,
-    has index None and the Z-frame vector itself, uncopied, as amplitudes.
+    index when there is one.  A full support above the cutoff, where no two
+    positions co-vary, has index and positions None and the Z-frame vector
+    itself, uncopied, as amplitudes; a dense vector with no zero in it keeps
+    its amplitudes uncopied too.
     """
     index, values = _frame_view(state, 0)
     mag = np.abs(values)
     live = mag > cutoff
     if index is None and live.all():
-        return None, values, 0.0
-    idx = np.flatnonzero(live)
-    if idx.size == 0:
+        return None, values, None
+    if not live.any():
         raise ValueError("state has no support above the tolerance cutoff")
-    mag[idx] = 0.0
-    amp = values[idx]
-    if index is not None:
-        idx = index[idx]
-    return idx, amp, float(np.linalg.norm(mag) / np.linalg.norm(amp))
+    nonzero = mag > 0.0
+    del mag  # freed before the columns are gathered
+    if index is None:
+        index = np.flatnonzero(nonzero)
+    elif not nonzero.all():
+        index = index[nonzero]
+    if index.size < values.size:
+        values, live = values[nonzero], live[nonzero]
+    return index, values, index if live.all() else index[live]
 
 
 #: Support columns unpacked to bits at a time in ``_covariation_classes``:
@@ -169,29 +176,22 @@ def _covariation_classes(idx: np.ndarray, n: int, allow_relabeling: bool) -> lis
 
 
 def _peel(
-    idx: np.ndarray | None,
-    amp: np.ndarray,
-    shifts: list[int],
-    flips: list[bool],
-    tol: float,
-    cut: float,
-) -> tuple[tuple[tuple[complex, complex], np.ndarray | None, np.ndarray] | None, float]:
+    idx: np.ndarray | None, amp: np.ndarray, shifts: list[int], flips: list[bool], tol: float
+) -> tuple[tuple[complex, complex], np.ndarray | None, np.ndarray] | None:
     """Try to factor the columns as (Σ_k c_k |k…k⟩ over members) ⊗ rest.
 
     The members own the bits ``1 << s`` for s in ``shifts``.  ``idx``/``amp``
-    are the sorted support columns at their register positions, the bits of
-    members peeled before cleared, left unwritten; idx None stands for every
+    are the sorted columns at their register positions, the bits of members
+    peeled before cleared, left unwritten; idx None stands for every
     position of the qubits not yet peeled, which then go in register order.
-    Every column carries the members in the up or the down pattern, since
-    the co-variation classes were read off these columns.  ``cut`` bounds,
-    relative to the columns' norm, how far the uncut state they stand for
-    lies from them; the factor is accepted when its relative reconstruction
-    error stays within ``tol`` even at that distance.
+    A column whose members carry neither the up nor the down pattern counts
+    in full against the fit.  The factor is accepted when the relative
+    2-norm reconstruction error stays within ``tol``.
 
     Returns the coefficients and the normalized rest as sorted columns with
-    the members' bits cleared (None when not accepted), and the bound
-    carried over to the columns that come next.
+    the members' bits cleared, or None when not accepted.
     """
+    off = 0.0
     if idx is None:
         # A full support peels singletons: halves of a view, copied in order.
         halves = amp.reshape(-1, 2, 1 << shifts[0])
@@ -199,11 +199,17 @@ def _peel(
     else:
         mask = sum(1 << s for s in shifts)
         up = sum(int(f) << s for f, s in zip(flips, shifts))
+        if len(shifts) > 1:  # a lone member's bit always reads one of the two
+            bits = idx & mask
+            on = (bits == up) | (bits == up ^ mask)
+            if not on.all():
+                off = float(np.linalg.norm(amp[~on]))
+                idx, amp = idx[on], amp[on]
         keys, v_up, v_down = _halves(idx, amp, mask, up)
 
     n_up, n_down = float(np.linalg.norm(v_up)), float(np.linalg.norm(v_down))
     norm = float(np.hypot(n_up, n_down))
-    n_pick, n_other = max(n_up, n_down), min(n_up, n_down)
+    n_pick = max(n_up, n_down)
     rest = (v_up if n_up >= n_down else v_down) / n_pick
     c_up = complex(np.vdot(rest, v_up))
     c_down = complex(np.vdot(rest, v_down))
@@ -218,38 +224,24 @@ def _peel(
     else:
         v_up -= c_up * rest
         v_down -= c_down * rest
-    err = float(np.hypot(np.linalg.norm(v_up), np.linalg.norm(v_down))) / norm
-
-    # Moving the amplitudes by a relative distance d moves this error by at
-    # most √2·d (d per slice) and their norm by a factor within 1 ± d, so
-    # what is accepted here the same peel of the uncut amplitudes accepts.
-    if err + _SQRT2 * cut > tol * (1.0 - cut):
-        if err <= tol * (1.0 + cut) + _SQRT2 * cut:
-            # The uncut amplitudes may factor here after all; what they
-            # would leave is then no longer bounded by these columns.
-            cut = max(cut, 1.0)
-        return None, cut
-    if not cut or n_pick - n_other > _SQRT2 * cut * norm:
-        # The uncut amplitudes (these columns, if nothing was cut) keep the
-        # same slice, renormalized alike.
-        cut *= norm / n_pick
-    else:
-        # Near a tie they may keep the other slice, which lies off the
-        # kept one by the fit's error.
-        c_other = abs(c_down if n_up >= n_down else c_up)
-        cut = norm * (err + cut) / c_other if c_other > 0.0 else 1.0
-    return ((c_up, c_down), keys, rest.reshape(-1)), cut
+    err = float(np.hypot(np.linalg.norm(v_up), np.linalg.norm(v_down)))
+    if off:
+        err, norm = float(np.hypot(err, off)), float(np.hypot(norm, off))
+    if err / norm > tol:
+        return None
+    return (c_up, c_down), keys, rest.reshape(-1)
 
 
 def _detect(
-    labels: Sequence[str], idx: np.ndarray | None, amp: np.ndarray, cut: float, tol: float,
-    allow_relabeling: bool,
+    labels: Sequence[str], idx: np.ndarray | None, amp: np.ndarray, live: np.ndarray | None,
+    tol: float, allow_relabeling: bool,
 ) -> tuple[list[CorrelationCluster], list[str], np.ndarray]:
-    """The two detection stages on support columns (see ``_support``): the
-    clusters in class order, the residual and the leftover columns."""
+    """The two detection stages on the columns of ``_support``, classes read
+    off the positions ``live``: the clusters in class order, the residual
+    and the leftover columns."""
     n = len(labels)
-    classes = [[p] for p in range(n)] if idx is None else _covariation_classes(idx, n, allow_relabeling)
-    first_column = 0 if idx is None else int(idx[0])
+    classes = [[p] for p in range(n)] if live is None else _covariation_classes(live, n, allow_relabeling)
+    first_column = 0 if live is None else int(live[0])
     clusters: list[CorrelationCluster] = []
     residual: list[str] = []
     for group in classes:
@@ -257,7 +249,7 @@ def _detect(
         shifts = [n - 1 - p for p in group]
         bits = [(first_column >> s) & 1 for s in shifts]
         flips = [b != bits[0] for b in bits]
-        peeled, cut = _peel(idx, amp, shifts, flips, tol, cut)
+        peeled = _peel(idx, amp, shifts, flips, tol)
         if peeled is None:
             residual.extend(members)
             continue
@@ -273,14 +265,14 @@ def _factored(
     of its stored amplitudes φ; None where they do not decide them."""
     reg, frame, n = state.register, state._frame, state.n_qubits
     try:
-        idx, amp, cut = _support(_framed(reg, state._index, state._values, 0), tol)
+        idx, amp, live = _support(_framed(reg, state._index, state._values, 0), tol)
     except ValueError:  # nothing above the cutoff
         return None
-    if idx is None or cut:  # no multi-member factor, or amplitudes cut
+    if live is None:  # no multi-member factor
         return None
     # φ lies within len(factors)·fit of the product of factors accepted within fit.
     fit = 2.0**-49 * (amp.size + n + 3)
-    factors, residual, _ = _detect(reg.labels, idx, amp, 0.0, fit, allow_relabeling)
+    factors, residual, _ = _detect(reg.labels, idx, amp, live, fit, allow_relabeling)
     if residual:
         return None
     rejected, others, low = [], [], 1.0
@@ -290,8 +282,8 @@ def _factored(
         w = 2.0 ** (-k / 2) * np.abs([c[0] + c[1], c[0] - c[1]] if k == factor.size else c)
         low *= w[w > 0].min()  # the factor's smallest nonzero modulus in the view
         (rejected if factor.size > 1 and k else others).append((factor, flags, k, np.abs(c)))
-    # The view path's columns and cut stay within slack of the product's
-    # view (its peels renormalize by at most √2 each); margin, 16·(N + 3)·2⁻⁵³,
+    # The view path's columns stay within slack of the product's view (its
+    # peels renormalize by at most √2 each); margin, 16·(N + 3)·2⁻⁵³,
     # bounds the relative rounding of its norms and inner products over
     # N ≤ 2^24 columns.  Below 2·tol, bound leaves the other factors' peels
     # accepted.
@@ -309,7 +301,7 @@ def _factored(
             c = np.array([c[0] + c[1], c[0] - c[1]]) / _SQRT2
         up, live = sum(int(f) << (m - 1 - j) for j, f in enumerate(factor.flips)), np.abs(c) > tol
         index = np.array([up, (1 << m) - 1 - up])[live]
-        found, left, _ = _detect(factor.members, index, c[live], 0.0, tol, allow_relabeling)
+        found, left, _ = _detect(factor.members, index, c[live], index, tol, allow_relabeling)
         if left:
             return None
         clusters += found
@@ -330,13 +322,13 @@ def find_clusters(
     cluster states reproduces the input to ``tol`` exactly (the terminal
     phase is folded into the last cluster).
 
-    ``tol`` plays two roles: amplitudes with modulus at or below it are cut
-    from the support, from which the candidate clusters are read, and it
-    bounds each cluster's relative 2-norm reconstruction error.  The 2-norm
-    of the cut amplitudes, times √2, counts against every cluster's
-    reconstruction error, so noise near the cutoff can move subsystems to
-    the residual, but a cluster accepted here is one the uncut amplitudes
-    factor within ``tol`` as well.
+    ``tol`` plays two roles: the candidate clusters are read off the support
+    of amplitudes with modulus above it, and it bounds each cluster's
+    relative 2-norm reconstruction error over every nonzero amplitude, where
+    an amplitude whose members carry neither of the cluster's two patterns
+    counts in full.  So an exact product factors whatever its smallest
+    amplitude, and noise moves a subsystem to the residual exactly when the
+    subsystem's fit, noise included, is off by more than ``tol``.
 
     A state with basis flags, H^frame · φ, is first read off the factors of
     its stored amplitudes φ, which H^frame maps to factors of the Z view.
@@ -348,7 +340,7 @@ def find_clusters(
     whose two bounds clear the peel's reject bound by a rounding margin goes
     to the residual; the others, singletons or unflagged, are peeled on
     their own views of at most two positions.  The view decides instead
-    when φ has a residual or cut amplitudes, when no factor is so rejected
+    when φ has a residual, when no factor is so rejected
     or another flagged one is not, and when the view's smallest nonzero
     modulus, the product of the factors' closed-form minima, does not clear
     the cutoff by that margin.  The clusters are the view's either way,

@@ -70,12 +70,13 @@ SPARSE_SHARE = 1 / 16
 MAX_QUBITS = 63
 
 #: Most qubits a dense amplitude vector (16 · 2^n bytes) is built for.  The
-#: dense path peaks at 2.5 times the vector plus a few KiB, in cluster
-#: detection on the full-support view of a flagged dense state: the rotated
-#: copy, its moduli and one peel's halves (2.5000-2.5017x by tracemalloc at
-#: n = 22 down to 16; 1.50x on an unflagged one; the X rejection of a
-#: Z-frame GHZ builds no vector), so 24 qubits peak near 640 MiB, under an
-#: eighth of an 8 GiB host.  The limit bounds vectors, not branch tables: a
+#: dense path peaks at 3.75 times the vector, in cluster detection on the
+#: view of a flagged dense state with no zero amplitude but some under the
+#: cutoff, a noisy one: the rotated copy, its column index and one peel's
+#: halves, rest and remainder (3.750x by tracemalloc at n = 16, 20 and 22;
+#: 2.75x on an unflagged one; 2.50x and 1.50x where every amplitude clears
+#: the cutoff; the X rejection of a Z-frame GHZ builds no vector), so 24
+#: qubits peak near 960 MiB, under an eighth of an 8 GiB host.  The limit bounds vectors, not branch tables: a
 #: listing is held as columns of 24 bytes a row, and the runner refuses to
 #: render more than ``runner.LISTING_MAX_ROWS`` rows.
 DENSE_MAX_QUBITS = 24

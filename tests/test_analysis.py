@@ -526,13 +526,11 @@ class TestAgainstDenseReference:
         relabel=st.booleans(),
         noise_exp=st.floats(-16.0, -8.0),
     )
-    # Noise split over both slices of q0 puts the dense fit's error near √2
-    # times the cut norm, past what one cut norm accounts for.
     @example(seed=200, n=2, relabel=False, noise_exp=-9.125)
+    @example(seed=0, n=8, relabel=True, noise_exp=-10.5)
     def test_noise_only_moves_labels_to_residual(self, seed, n, relabel, noise_exp):
-        # find_clusters counts the 2-norm cut at the support cutoff against
-        # every cluster, so on noisy input it may reject what the dense
-        # reference accepts, never the reverse.
+        # find_clusters peels every nonzero amplitude, noise included, so it
+        # moves the labels to the residual that the dense reference moves.
         gen = np.random.default_rng(seed)
         state = random_cluster_state(gen, n)
         noise = gen.normal(size=state.dim) + 1j * gen.normal(size=state.dim)
@@ -540,7 +538,74 @@ class TestAgainstDenseReference:
         noisy = PureState(state.register, vec / np.linalg.norm(vec))
         got = find_clusters(noisy, allow_relabeling=relabel)
         want = dense_find_clusters(noisy, allow_relabeling=relabel)
-        assert set(want.residual) <= set(got.residual)
+        assert got.residual == want.residual
+        assert [c.members for c in got.clusters] == [c.members for c in want.clusters]
+
+
+def product_of_factors(sizes, smallest, gen):
+    """Single qubits and GHZ factors over q0, q1, … with the given member
+    counts, whose product's smallest amplitude is ``smallest``: each
+    factor's smaller coefficient is smallest^w for weights w that sum to 1,
+    none under 1/40, with random phases and a random side."""
+    weights = gen.random(len(sizes))
+    weights = (1.0 - len(sizes) / 40) * weights / weights.sum() + 1 / 40
+    parts, start = [], 0
+    for size, w in zip(sizes, weights):
+        small = smallest**w
+        pair = np.array([np.sqrt(1.0 - small**2), small]) * np.exp(2j * np.pi * gen.random(2))
+        pair = pair[::-1] if gen.random() < 0.5 else pair
+        names = tuple(f"q{i}" for i in range(start, start + size))
+        parts.append(product_state(names, [pair]) if size == 1 else make_ghz(names, pair))
+        start += size
+    state = parts[0]
+    for part in parts[1:]:
+        state = tensor(state, part)
+    return state
+
+
+def product_near_the_cutoff(k, ghz=0):
+    """k qubits of (1.4, 0.2), then a GHZ over g0… with equal coefficients."""
+    state = product_state(tuple(f"p{i}" for i in range(k)), [(1.4, 0.2)] * k)
+    if ghz:
+        state = tensor(state, make_ghz(tuple(f"g{i}" for i in range(ghz)), (1, 1)))
+    return state
+
+
+class TestAmplitudesNearTheCutoff:
+    # Amplitudes at or below the cutoff are left out of the candidate
+    # classes but peeled with the rest, as the dense reference peels them.
+
+    @pytest.mark.parametrize("k, ghz", [(10, 0), (11, 0), (12, 0), (11, 3)])
+    def test_products_with_amplitudes_under_the_cutoff_match_the_dense_reference(self, k, ghz):
+        # the smallest amplitude of 11 such qubits is 4.5e-10
+        state = product_near_the_cutoff(k, ghz)
+        got = find_clusters(state)
+        assert got.residual == ()
+        assert_same_clusters(got, dense_find_clusters(state))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 4), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+        decades=st.floats(-1.0, 1.0),
+        relabel=st.booleans(),
+    )
+    def test_factors_whose_smallest_amplitude_is_near_the_cutoff(self, sizes, seed, decades, relabel):
+        while sum(sizes) > 20:
+            sizes = sizes[:-1]
+        state = product_of_factors(sizes, DEFAULT_TOL * 10.0**decades, np.random.default_rng(seed))
+        assert_same_clusters(
+            find_clusters(state, allow_relabeling=relabel),
+            dense_find_clusters(state, allow_relabeling=relabel),
+        )
+
+    def test_eleven_such_qubits_next_to_a_50_qubit_ghz(self):
+        # n = 61, past any dense vector: the closed form is 11 singletons and
+        # one 50-member cluster carrying 49.
+        decomposition = find_clusters(product_near_the_cutoff(11, 50), allow_relabeling=True)
+        assert decomposition.residual == ()
+        assert [c.size for c in decomposition.clusters] == [1] * 11 + [50]
+        assert total_measure(decomposition) == 49
 
 
 def test_dense_support_peak_memory_stays_near_state_size():
@@ -597,6 +662,25 @@ def test_dense_twin_support_peak_memory_stays_near_state_size():
         tracemalloc.stop()
     assert set(env) <= set(decomposition.residual)
     assert peak <= 3 * twin.amplitudes.nbytes
+
+
+def test_noisy_dense_support_peak_memory_stays_near_state_size():
+    # The same state with noise of 1e-10 on every amplitude: every one of
+    # the 2^16 positions is a column, and the classes come from the few
+    # above the cutoff.
+    env = env_labels(14)
+    state = tensor(product_state(("s", "o"), [(0.6, 0.8j), (1, 2)]), make_ghz(env, (1, 1j)))
+    gen = np.random.default_rng(5)
+    vec = state.amplitudes + 1e-10 * (gen.normal(size=state.dim) + 1j * gen.normal(size=state.dim))
+    noisy = PureState(state.register, vec / np.linalg.norm(vec))
+    tracemalloc.start()
+    try:
+        decomposition = find_clusters(noisy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_clusters(decomposition, dense_find_clusters(noisy))
+    assert peak <= 3 * noisy.amplitudes.nbytes
 
 
 @pytest.mark.parametrize("relabel", [False, True])
@@ -657,14 +741,15 @@ def ghz_next_to_s_and_o(n, chi, so=None):
 
 
 #: GHZ edges next to s and o: a Schmidt coefficient ten times the bound, and
-#: 1.5 times it, where φ's small branch falls under the cutoff unless s and o
-#: are basis states; |a − b| about 1e-8, which puts the view's odd half near
-#: the cutoff; a two-member GHZ whose view stays two-branch; one and two
-#: flagged members.  With whether the factored path decides them.
+#: 1.5 times it, where all but one of φ's small-branch columns fall under the
+#: cutoff unless s and o are basis states; |a − b| about 1e-8, which puts the
+#: view's odd half near the cutoff; a two-member GHZ whose view stays
+#: two-branch; one and two flagged members.  With whether the factored path
+#: decides them.
 BASIS_SO = ((1, 0), (0, 1))
 GHZ_EDGES = [
     (6, 0b001111, 1e-9, (1, 1e-8), None, True),
-    (6, 0b111111, 1e-9, (1, 1.5e-9), None, False),
+    (6, 0b111111, 1e-9, (1, 1.5e-9), None, True),
     (6, 0b111111, 1e-9, (1, 1.5e-9), BASIS_SO, True),
     (6, 0b001111, 1e-9, (1, 1 + 2**0.5 * 1e-8), None, False),
     (4, 0b0011, 1e-9, (1, 1), None, False),
@@ -736,35 +821,20 @@ class TestFactoredPath:
 # column, and the member halves come from a reshape view.
 
 
-def _peel_by_differences(v_up, v_down, tol, cut):
+def _peel_by_differences(v_up, v_down, tol):
     """Reference fit of two column slices from difference vectors: the
-    coefficients and normalized rest (None when not accepted), and the
-    carried cut."""
+    coefficients and normalized rest, None when not accepted."""
     v_up, v_down = v_up.copy(), v_down.copy()
     n_up, n_down = float(np.linalg.norm(v_up)), float(np.linalg.norm(v_down))
-    norm = float(np.hypot(n_up, n_down))
-    n_pick, n_other = max(n_up, n_down), min(n_up, n_down)
-    rest = (v_up if n_up >= n_down else v_down) / n_pick
+    rest = (v_up if n_up >= n_down else v_down) / max(n_up, n_down)
     c_up, c_down = complex(np.vdot(rest, v_up)), complex(np.vdot(rest, v_down))
     v_up -= c_up * rest
     v_down -= c_down * rest
-    err = float(np.hypot(np.linalg.norm(v_up), np.linalg.norm(v_down))) / norm
-    sqrt2 = 2.0**0.5
-    if err + sqrt2 * cut > tol * (1.0 - cut):
-        if err <= tol * (1.0 + cut) + sqrt2 * cut:
-            cut = max(cut, 1.0)
-        return None, cut
-    if n_pick - n_other > sqrt2 * cut * norm:
-        cut *= norm / n_pick
-    else:
-        c_other = abs(c_down if n_up >= n_down else c_up)
-        cut = norm * (err + cut) / c_other if c_other > 0.0 else 1.0
-    return ((c_up, c_down), rest), cut
+    err = float(np.hypot(np.linalg.norm(v_up), np.linalg.norm(v_down))) / np.hypot(n_up, n_down)
+    return None if err > tol else ((c_up, c_down), rest)
 
 
-def _assert_same_peel(got, want):
-    (peeled, cut), (ref, ref_cut) = got, want
-    assert cut == ref_cut
+def _assert_same_peel(peeled, ref):
     assert (peeled is None) == (ref is None)
     if ref is not None:
         assert peeled[0] == ref[0]
@@ -789,10 +859,9 @@ class TestFullColumnPeel:
         gen = np.random.default_rng(n)
         amp = _full_support_amplitudes(gen, n, int(gen.integers(0, n)))
         for shift in reversed(range(n)):
-            full = analysis._peel(None, amp, [shift], [False], 1e-9, 0.0)
-            indexed = analysis._peel(np.arange(2**n), amp, [shift], [False], 1e-9, 0.0)
-            (got, cut), (want, want_cut) = full, indexed
-            assert cut == want_cut and (got is None) == (want is None)
+            got = analysis._peel(None, amp, [shift], [False], 1e-9)
+            want = analysis._peel(np.arange(2**n), amp, [shift], [False], 1e-9)
+            assert (got is None) == (want is None)
             if want is not None:
                 assert got[0] == want[0] and got[1] is None
                 positions = np.arange(2**n)
@@ -807,7 +876,7 @@ class TestFullColumnPeel:
         before = amp.tobytes()
         outcomes = []
         for shift in reversed(range(n)):
-            peeled, _ = analysis._peel(None, amp, [shift], [False], 1e-9, 0.0)
+            peeled = analysis._peel(None, amp, [shift], [False], 1e-9)
             outcomes.append(peeled is not None)
             assert amp.tobytes() == before
         assert outcomes[pos]
@@ -838,51 +907,63 @@ class TestPeelRejectBound:
         scale = np.sqrt(1.0 + gamma**2)
         return (heavy / scale, light / scale) if up_heavier else (light / scale, heavy / scale)
 
-    def check(self, gen, size, err, cut, up_heavier):
+    def check(self, gen, size, err, up_heavier):
         v_up, v_down = self.slices(gen, size, err, up_heavier)
-        want = _peel_by_differences(v_up, v_down, self.TOL, cut)
+        want = _peel_by_differences(v_up, v_down, self.TOL)
         shift = size.bit_length() - 1
         amp = np.concatenate((v_up, v_down))
         amp.setflags(write=False)
         for idx in (None, np.arange(2 * size)):
-            _assert_same_peel(analysis._peel(idx, amp, [shift], [False], self.TOL, cut), want)
+            _assert_same_peel(analysis._peel(idx, amp, [shift], [False], self.TOL), want)
         # a sparse index: the same columns next to a qubit that is always ↑
         sparse = np.arange(2 * size) * 2
-        _assert_same_peel(
-            analysis._peel(sparse, amp, [shift + 1], [False], self.TOL, cut), want
-        )
+        _assert_same_peel(analysis._peel(sparse, amp, [shift + 1], [False], self.TOL), want)
         return want
 
     @pytest.mark.parametrize("size", [2, 16, 256])
-    @pytest.mark.parametrize("cut", [0.0, 3e-11, 2e-10])
     @pytest.mark.parametrize("err", [1e-5, 1e-3, 0.3])
-    def test_decisive_rejections_match_the_difference_vectors(self, size, cut, err):
+    def test_decisive_rejections_match_the_difference_vectors(self, size, err):
         gen = np.random.default_rng(7)
         for up_heavier in (True, False):
-            peeled, new_cut = self.check(gen, size, err, cut, up_heavier)
-            assert peeled is None and new_cut == cut
+            assert self.check(gen, size, err, up_heavier) is None
 
     @pytest.mark.parametrize("size", [2, 16, 256])
-    @pytest.mark.parametrize("cut", [0.0, 3e-11, 2e-10])
     @pytest.mark.parametrize("where", [0.0, 0.5, 0.999, 1.001, 1.5, 4.0])
-    def test_errors_near_the_bound(self, size, cut, where):
-        # ``where`` places the error relative to the reject bound: accepted,
-        # rejected with the cut raised to 1, and rejected as it is.
+    def test_errors_near_the_bound(self, size, where):
+        # ``where`` places the error relative to the reject bound, ``tol``
         gen = np.random.default_rng(8)
-        bound = self.TOL * (1.0 + cut) + 2.0**0.5 * cut
         for up_heavier in (True, False):
-            peeled, new_cut = self.check(gen, size, where * bound, cut, up_heavier)
-            if where < 0.999 or (where < 1.0 and cut == 0.0):
-                assert peeled is not None
-            else:
-                assert peeled is None and new_cut == (cut if where > 1.0 else 1.0)
+            peeled = self.check(gen, size, where * self.TOL, up_heavier)
+            assert (peeled is not None) == (where < 1.0)
+
+
+@pytest.mark.parametrize("flips", [(False, False, False), (False, True, False)])
+@pytest.mark.parametrize("where", [0.5, 0.9, 1.1, 2.0])
+def test_off_pattern_columns_count_in_full_against_the_fit(flips, where):
+    # A three-member GHZ factor of five qubits, with columns whose members
+    # carry neither pattern of 2-norm ``where`` times the tolerance.
+    gen = np.random.default_rng(9)
+    rest = gen.normal(size=4) + 1j * gen.normal(size=4)
+    up = sum(int(f) << (2 - j) for j, f in enumerate(flips))
+    factor = np.zeros(8, dtype=complex)
+    factor[up], factor[7 - up] = 0.6, 0.8j
+    off = np.zeros((8, 4), dtype=complex)
+    pattern = np.isin(np.arange(8), [up, 7 - up])
+    off[~pattern] = gen.normal(size=(6, 4)) + 1j * gen.normal(size=(6, 4))
+    vec = np.kron(factor, rest / np.linalg.norm(rest)) + (where * 1e-9 / np.linalg.norm(off)) * off.reshape(-1)
+    vec /= np.linalg.norm(vec)
+    got = analysis._peel(np.arange(32), vec, [4, 3, 2], list(flips), 1e-9)
+    want = _dense_peel(list(labels(5)), vec, list(labels(3)), list(flips), 1e-9)
+    assert (got is None) == (want is None) == (where > 1.0)
+    if want is not None:
+        assert np.allclose(got[0], want[0], rtol=0.0, atol=1e-15)
+        assert np.array_equal(got[1], np.arange(4))
+        assert np.allclose(got[2], want[1], rtol=0.0, atol=1e-15)
 
 
 def test_tied_singleton_peels_on_uncut_columns_match_the_dense_reference():
-    # Every |→⟩ peel is a tie of its two slices.  With nothing cut the bound
-    # carried between peels must stay 0; grown by √2 per tie from rounding
-    # alone, it would pass the tolerance and move the last qubits to the
-    # residual.
+    # Every |→⟩ peel is a tie of its two slices, whose rounding must not add
+    # up past the tolerance and move the last qubits to the residual.
     plus = [f"p{i}" for i in range(10)]
     state = tensor(make_ghz(("g0", "g1"), (1, 1)), product_state(plus, [(1, 1)] * 10))
     got = find_clusters(state, tol=1e-13)

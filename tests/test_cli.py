@@ -657,6 +657,19 @@ class TestCliProcess:
         assert "qubits      30" in result.stdout
         assert "== step 3: agreement ==" in result.stdout
 
+    def test_ledger_of_a_product_with_amplitudes_under_the_cutoff_exits_0(self, tmp_path):
+        # 11 qubits of (1.4, 0.2): the smallest amplitude, 4.5e-10, lies
+        # under the 1e-9 cutoff, and every qubit is a singleton cluster.
+        doc = {
+            "subsystems": [{"label": f"q{i}", "amplitudes": [[1.4, 0], [0.2, 0]]} for i in range(11)],
+            "script": [{"op": "ledger", "tag": "t"}],
+        }
+        path = tmp_path / "product_11.json"
+        path.write_text(json.dumps(doc))
+        result = self.run_cli("run", str(path))
+        assert result.returncode == 0, result.stderr
+        assert ["total", "0"] in [line.split() for line in result.stdout.splitlines()]
+
     def test_oracle_subcommand_matches_run(self):
         fast = self.run_cli("run", str(SCENARIOS / "record_recovery.json"))
         slow = self.run_cli("oracle", str(SCENARIOS / "record_recovery.json"))
