@@ -894,10 +894,14 @@ class TestPeelRejectBound:
     TOL = 1e-9
 
     @staticmethod
-    def slices(gen, size, err, up_heavier):
-        """v↑ and v↓ over ``size`` columns whose fit leaves relative error ``err``."""
+    def slices(gen, size, err, below, up_heavier):
+        """v↑ and v↓ over ``size`` columns whose fit leaves relative error
+        ``err``; with ``below`` nonzero, every other column of the rest has
+        modulus ``below`` before normalization, under the cutoff ``TOL``."""
         u = gen.normal(size=size) + 1j * gen.normal(size=size)
         w = gen.normal(size=size) + 1j * gen.normal(size=size)
+        if below:
+            u[::2] *= below / np.abs(u[::2])
         u /= np.linalg.norm(u)
         w -= np.vdot(u, w) * u
         w /= np.linalg.norm(w)
@@ -907,8 +911,8 @@ class TestPeelRejectBound:
         scale = np.sqrt(1.0 + gamma**2)
         return (heavy / scale, light / scale) if up_heavier else (light / scale, heavy / scale)
 
-    def check(self, gen, size, err, up_heavier):
-        v_up, v_down = self.slices(gen, size, err, up_heavier)
+    def check(self, gen, size, err, below, up_heavier):
+        v_up, v_down = self.slices(gen, size, err, below, up_heavier)
         want = _peel_by_differences(v_up, v_down, self.TOL)
         shift = size.bit_length() - 1
         amp = np.concatenate((v_up, v_down))
@@ -918,22 +922,30 @@ class TestPeelRejectBound:
         # a sparse index: the same columns next to a qubit that is always ↑
         sparse = np.arange(2 * size) * 2
         _assert_same_peel(analysis._peel(sparse, amp, [shift + 1], [False], self.TOL), want)
+        # the columns _support hands on, those under the cutoff included
+        wide = np.zeros(4 * size, dtype=complex)
+        wide[sparse] = amp
+        for vec, s in ((amp, shift), (wide, shift + 1)):
+            idx, values, _ = analysis._support(PureState(Register(labels(s + 1)), vec), self.TOL)
+            _assert_same_peel(analysis._peel(idx, values, [s], [False], self.TOL), want)
         return want
 
     @pytest.mark.parametrize("size", [2, 16, 256])
+    @pytest.mark.parametrize("below", [0.0, 3e-11, 2e-10])
     @pytest.mark.parametrize("err", [1e-5, 1e-3, 0.3])
-    def test_decisive_rejections_match_the_difference_vectors(self, size, err):
+    def test_decisive_rejections_match_the_difference_vectors(self, size, below, err):
         gen = np.random.default_rng(7)
         for up_heavier in (True, False):
-            assert self.check(gen, size, err, up_heavier) is None
+            assert self.check(gen, size, err, below, up_heavier) is None
 
     @pytest.mark.parametrize("size", [2, 16, 256])
+    @pytest.mark.parametrize("below", [0.0, 3e-11, 2e-10])
     @pytest.mark.parametrize("where", [0.0, 0.5, 0.999, 1.001, 1.5, 4.0])
-    def test_errors_near_the_bound(self, size, where):
+    def test_errors_near_the_bound(self, size, below, where):
         # ``where`` places the error relative to the reject bound, ``tol``
         gen = np.random.default_rng(8)
         for up_heavier in (True, False):
-            peeled = self.check(gen, size, where * self.TOL, up_heavier)
+            peeled = self.check(gen, size, where * self.TOL, below, up_heavier)
             assert (peeled is not None) == (where < 1.0)
 
 
