@@ -43,8 +43,6 @@ from .protocol import (
     corrected_script,
     ideal_measure,
     ideal_script,
-    run_scenario_appendix,
-    run_scenario_different_basis,
     uncorrected_measure,
     uncorrected_script,
 )

@@ -10,6 +10,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .analysis import DEFAULT_TOL
 from .oracle import ORACLE_MAX_QUBITS
 from .runner import RunError, run
 from .scenario import Options, Scenario, ScenarioError, parse_scenario
@@ -31,7 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="scenario JSON file")
         p.add_argument(
             "--tol", type=float, default=None,
-            help="detection tolerance (overrides the scenario's option; default 1e-9)",
+            help="detection tolerance (overrides the scenario's option; default "
+            f"{DEFAULT_TOL:.0e})".replace("e-0", "e-"),
         )
         p.add_argument(
             "--relabel", choices=("on", "off"), default=None,

@@ -19,10 +19,6 @@ every operand.  As (R⊗R)·imprint(a→b)·(R⊗R) = imprint(b→a) and swaps c
 with R⊗R, the X scripts are the Z scripts with each imprint reversed; only
 the corrected measurement's environment check reads the rotated frame.  The
 procedures take the gate executor: the strided kernels or the dense oracle.
-
-The two scenario builders chain ideal measurements in mismatched bases to
-reproduce the loss of observer agreement, with optional redundant records
-that keep the first observer's outcome recoverable.
 """
 from __future__ import annotations
 
@@ -33,7 +29,7 @@ import numpy as np
 
 from . import analysis
 from .gates import GateOp, Imprint, InverseImprint, RotateBasis, Swap, apply_script
-from .statevec import PureState, _frame_view, product_state
+from .statevec import PureState, _frame_view
 
 #: Runs a gate script on a state: the strided kernels or the dense oracle.
 Executor = Callable[[PureState, Sequence[GateOp]], PureState]
@@ -259,49 +255,3 @@ def ideal_measure(
         raise ValueError("signal and observer must be distinct")
     check_ready(state, observer, basis)
     return execute(state, ideal_script(signal, observer, basis))
-
-
-def _scenario_register(record_count: int) -> tuple[str, ...]:
-    records = tuple(f"^{j}o1" for j in range(1, record_count + 1))
-    return ("s", "o2", "o1", *records, "o3'")
-
-
-def run_scenario_different_basis(psi: tuple[complex, complex]) -> PureState:
-    """Chain of mismatched-basis measurements that breaks observer agreement.
-
-    o1 measures s in Z, o2 measures s in X, o3' measures o1 in X.  Register
-    order is (s, o2, o1, o3'), so the four X-basis branches read →→→→,
-    →→←←, ←←→→, ←←←← with amplitudes (ψ_↑ ± ψ_↓)/2; the mixed patterns are
-    the branches on which o2 and o3' disagree about the signal.
-    """
-    labels = _scenario_register(0)
-    half = (1.0, 1.0)
-    state = product_state(labels, [psi, half, (1.0, 0.0), half])
-    state = ideal_measure(state, "s", "o1", "Z")
-    state = ideal_measure(state, "s", "o2", "X")
-    state = ideal_measure(state, "o1", "o3'", "X")
-    return state
-
-
-def run_scenario_appendix(psi: tuple[complex, complex], record_count: int) -> PureState:
-    """Mismatched-basis chain with redundant Z-records of the first observer.
-
-    Before the X measurements run, o1 is Z-measured by ``record_count``
-    record subsystems ^1o1 … ^m o1.  Register order is
-    (s, o2, o1, ^1o1, …, ^m o1, o3').  The records stay untouched by the
-    later rotations, so every branch of the final state still carries o1's
-    original outcome redundantly.
-    """
-    if record_count < 1:
-        raise ValueError("need at least one record subsystem")
-    labels = _scenario_register(record_count)
-    half = (1.0, 1.0)
-    ready = (1.0, 0.0)
-    pairs = [psi, half, ready] + [ready] * record_count + [half]
-    state = product_state(labels, pairs)
-    state = ideal_measure(state, "s", "o1", "Z")
-    for j in range(1, record_count + 1):
-        state = ideal_measure(state, "o1", f"^{j}o1", "Z")
-    state = ideal_measure(state, "s", "o2", "X")
-    state = ideal_measure(state, "o1", "o3'", "X")
-    return state

@@ -38,6 +38,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from .analysis import DEFAULT_TOL
 from .gates import GateOp, Imprint, InverseImprint, RotateBasis, Swap
 from .protocol import MeasurementOutcomeSpec
 from .statevec import MAX_QUBITS, Register
@@ -130,7 +131,7 @@ Step = (
 
 @dataclass(frozen=True)
 class Options:
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_TOL
     relabel: bool = True
 
 
@@ -353,7 +354,7 @@ def _parse_options(raw: Any) -> Options:
     if not isinstance(raw, dict):
         raise ScenarioError("bad-structure", "'options' must be an object")
     _require(raw, (), "options", optional=("tolerance", "relabel"))
-    tolerance = raw.get("tolerance", 1e-9)
+    tolerance = raw.get("tolerance", DEFAULT_TOL)
     if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool) or not (
         0 < tolerance < 1
     ):

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qmeasure import analysis, protocol, statevec
+from qmeasure.gates import apply_script
 from qmeasure.protocol import EnvironmentNotGHZError
+from qmeasure.runner import _initial_state
+from qmeasure.scenario import IdealStep, parse_scenario
 from qmeasure.statevec import PureState, Register
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture
@@ -26,6 +34,39 @@ def random_state(rng: np.random.Generator, labels: tuple[str, ...]) -> PureState
     dim = 2 ** len(labels)
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return PureState(Register(labels), vec / np.linalg.norm(vec))
+
+
+def scenario_state(
+    name: str, psi: tuple[complex, complex], records: int = 0, execute=apply_script
+) -> PureState:
+    """The state after the ``ideal_measure`` steps of ``scenarios/<name>.json``,
+    run through ``execute``, with ψ declared for the signal ``s``.
+
+    ``records`` (for ``record_recovery``) sets the record count m: the file's
+    records ^jo1 and their ``ideal_measure`` steps are replaced, in their
+    place, by ^1o1 … ^mo1 declared and written like the file's first one.
+    """
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text(encoding="utf-8"))
+    subsystems = doc["subsystems"]
+    script = [step for step in doc["script"] if step["op"] == "ideal_measure"]
+    for entry in subsystems:
+        if entry["label"] == "s":
+            entry["amplitudes"] = [[complex(a).real, complex(a).imag] for a in psi]
+    if records:
+        names = [f"^{j}o1" for j in range(1, records + 1)]
+
+        def put(entries, key):
+            at = next(i for i, entry in enumerate(entries) if entry[key].startswith("^"))
+            kept = [entry for entry in entries if not entry[key].startswith("^")]
+            return kept[:at] + [dict(entries[at], **{key: name}) for name in names] + kept[at:]
+
+        subsystems, script = put(subsystems, "label"), put(script, "observer")
+    scenario = parse_scenario(json.dumps({"subsystems": subsystems, "script": script}))
+    state = _initial_state(scenario)
+    for step in scenario.script:
+        assert isinstance(step, IdealStep)
+        state = protocol.ideal_measure(state, step.signal, step.observer, step.basis, execute)
+    return state
 
 
 def labels(n: int) -> tuple[str, ...]:

@@ -34,8 +34,6 @@ from qmeasure.protocol import (
     corrected_measure,
     corrected_script,
     ideal_measure,
-    run_scenario_appendix,
-    run_scenario_different_basis,
     uncorrected_measure,
     uncorrected_script,
 )
@@ -50,9 +48,9 @@ from qmeasure.statevec import (
     tensor,
 )
 
-from conftest import labels, random_pair, random_state
+from conftest import labels, random_pair, random_state, scenario_state
 from test_gates import random_script
-from test_protocol import ScenarioOracle, correlated_pair, env_labels, normalized
+from test_protocol import correlated_pair, env_labels, normalized
 
 
 @contextmanager
@@ -199,8 +197,10 @@ def test_criterion_5_multi_observer_chain(rng):
 
 def test_criterion_6_different_basis_objectivity_loss():
     with criterion(6, "different-basis objectivity loss"):
-        out = run_scenario_different_basis((1, 0))
-        assert approx_eq(out, ScenarioOracle.different_basis((1, 0)), 1e-12)
+        out = scenario_state("different_basis", (1, 0))
+        assert approx_eq(
+            out, scenario_state("different_basis", (1, 0), execute=oracle_apply), 1e-12
+        )
         branches = branch_decompose(out, "X")
         got = dict(zip(branches.outcomes().tolist(), branches.amplitudes.tolist()))
         assert set(got) == {"→→→→", "→→←←", "←←→→", "←←←←"}
@@ -208,8 +208,10 @@ def test_criterion_6_different_basis_objectivity_loss():
         report = agreement(branches, [("s", "o1")])
         assert abs((1.0 - report.aggregates[0]) - 0.5) < 1e-9
 
-        balanced = run_scenario_different_basis((1, 1))
-        assert approx_eq(balanced, ScenarioOracle.different_basis((1, 1)), 1e-12)
+        balanced = scenario_state("different_basis", (1, 1))
+        assert approx_eq(
+            balanced, scenario_state("different_basis", (1, 1), execute=oracle_apply), 1e-12
+        )
         rotated = branch_decompose(balanced, "X")
         survivors = dict(zip(rotated.outcomes().tolist(), rotated.amplitudes.tolist()))
         assert abs(survivors.get("→→←←", 0.0)) < 1e-12
@@ -227,8 +229,10 @@ def test_criterion_7_appendix_record_recovery(rng):
         for m in (1, 2, 3):
             psi = random_pair(rng, 1e-3)
             pn = normalized(psi)
-            out = run_scenario_appendix(psi, m)
-            assert approx_eq(out, ScenarioOracle.appendix(psi, m), 1e-12)
+            out = scenario_state("record_recovery", psi, m)
+            assert approx_eq(
+                out, scenario_state("record_recovery", psi, m, execute=oracle_apply), 1e-12
+            )
             records = [f"^{j}o1" for j in range(1, m + 1)]
             basis = {
                 lbl: ("Z" if lbl.startswith("^") else "X") for lbl in out.register.labels

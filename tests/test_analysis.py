@@ -26,8 +26,6 @@ from qmeasure.protocol import (
     EnvironmentNotGHZError,
     MeasurementOutcomeSpec,
     corrected_measure,
-    run_scenario_appendix,
-    run_scenario_different_basis,
     uncorrected_measure,
 )
 from qmeasure.statevec import (
@@ -42,7 +40,14 @@ from qmeasure.statevec import (
     tensor,
 )
 
-from conftest import assert_same_clusters, dense_twin, labels, random_pair, random_state
+from conftest import (
+    assert_same_clusters,
+    dense_twin,
+    labels,
+    random_pair,
+    random_state,
+    scenario_state,
+)
 
 
 def normalized(pair):
@@ -294,7 +299,7 @@ class TestAgreement:
         assert report.aggregates[0] == 0.0
 
     def test_different_basis_scenario_pairs(self):
-        out = run_scenario_different_basis((1, 0))
+        out = scenario_state("different_basis", (1, 0))
         branches = branch_decompose(out, "X")
         report = agreement(branches, [("s", "o2"), ("o1", "o3'"), ("s", "o1")])
         assert abs(report.aggregates[0] - 1.0) < 1e-9
@@ -302,7 +307,7 @@ class TestAgreement:
         assert abs(report.aggregates[2] - 0.5) < 1e-9
 
     def test_plus_signal_restores_agreement(self):
-        out = run_scenario_different_basis((1, 1))
+        out = scenario_state("different_basis", (1, 1))
         report = agreement(branch_decompose(out, "X"), [("s", "o1")])
         assert abs(report.aggregates[0] - 1.0) < 1e-9
 
@@ -335,13 +340,13 @@ class TestAgreement:
 
 class TestRecoverRecord:
     def test_single_record_trivially_consistent(self, rng):
-        out = run_scenario_appendix(random_pair(rng, 0.1), 1)
+        out = scenario_state("record_recovery", random_pair(rng, 0.1), 1)
         basis = {lbl: ("Z" if lbl.startswith("^") else "X") for lbl in out.register.labels}
         branches = branch_decompose(out, basis)
         assert all(sym != INCONSISTENT for sym in recover_record(branches, ["^1o1"]))
 
     def test_two_records_consistent_every_branch(self, rng):
-        out = run_scenario_appendix(random_pair(rng, 0.1), 2)
+        out = scenario_state("record_recovery", random_pair(rng, 0.1), 2)
         basis = {lbl: ("Z" if lbl.startswith("^") else "X") for lbl in out.register.labels}
         branches = branch_decompose(out, basis)
         inferred = recover_record(branches, ["^1o1", "^2o1"])
@@ -664,15 +669,19 @@ def test_dense_twin_support_peak_memory_stays_near_state_size():
     assert peak <= 3 * twin.amplitudes.nbytes
 
 
-def test_noisy_dense_support_peak_memory_stays_near_state_size():
-    # The same state with noise of 1e-10 on every amplitude: every one of
-    # the 2^16 positions is a column, and the classes come from the few
-    # above the cutoff.
+def noisy_dense_state():
+    """The state above with noise of 1e-10 on every amplitude: every one of
+    the 2^16 positions is a column, and the classes come from the few above
+    the cutoff."""
     env = env_labels(14)
     state = tensor(product_state(("s", "o"), [(0.6, 0.8j), (1, 2)]), make_ghz(env, (1, 1j)))
     gen = np.random.default_rng(5)
     vec = state.amplitudes + 1e-10 * (gen.normal(size=state.dim) + 1j * gen.normal(size=state.dim))
-    noisy = PureState(state.register, vec / np.linalg.norm(vec))
+    return PureState(state.register, vec / np.linalg.norm(vec))
+
+
+def test_noisy_dense_support_peak_memory_stays_near_state_size():
+    noisy = noisy_dense_state()
     tracemalloc.start()
     try:
         decomposition = find_clusters(noisy)
@@ -681,6 +690,27 @@ def test_noisy_dense_support_peak_memory_stays_near_state_size():
         tracemalloc.stop()
     assert_same_clusters(decomposition, dense_find_clusters(noisy))
     assert peak <= 3 * noisy.amplitudes.nbytes
+
+
+def test_flagged_noisy_dense_support_peak_memory_stays_near_state_size():
+    # The noisy state stored with every flag set, so detection reads a
+    # rotated copy of the stored amplitudes.
+    noisy = noisy_dense_state()
+    vec = noisy.amplitudes.copy()
+    for pos in range(noisy.n_qubits):
+        statevec._rotate_axis(vec, pos)
+    flagged = PureState(noisy.register, vec)
+    for label in noisy.register.labels:
+        flagged = rotate_basis(flagged, label)
+    assert np.allclose(flagged.amplitudes, noisy.amplitudes, rtol=0.0, atol=1e-14)
+    tracemalloc.start()
+    try:
+        decomposition = find_clusters(flagged)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_clusters(decomposition, dense_find_clusters(flagged))
+    assert peak <= 4 * noisy.amplitudes.nbytes
 
 
 @pytest.mark.parametrize("relabel", [False, True])

@@ -1,0 +1,124 @@
+"""Closed-form and metamorphic tests over 25 to 63 qubits, past the dense
+oracle (12 qubits) and the dense twins (24): no dense vector is built."""
+import json
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qmeasure.analysis import (
+    INCONSISTENT,
+    CorrelationLedger,
+    agreement,
+    ledger_record,
+    recover_record,
+)
+from qmeasure.protocol import MeasurementOutcomeSpec, corrected_measure
+from qmeasure.runner import _initial_state
+from qmeasure.scenario import parse_scenario
+from qmeasure.statevec import branch_decompose, make_ghz, product_state, tensor
+
+from conftest import random_pair
+
+
+def unit(pair):
+    vec = np.array(pair, dtype=complex)
+    return vec / np.linalg.norm(vec)
+
+
+def test_network_of_ten_observers_on_a_50_qubit_ghz(no_dense_builds):
+    # o1 … o10 each make a corrected Z measurement of one generic signal s;
+    # measurement i draws on e1 … e(51−i) and leaves o_i's old state φ_i in
+    # its dump slot e(51−i), so n = 61 and the Z table has 2·2·2^10 rows.
+    rng = np.random.default_rng(61)
+    k, size = 10, 50
+    psi, chi = random_pair(rng, 0.1), random_pair(rng, 0.1)
+    phis = [random_pair(rng, 0.1) for _ in range(k)]
+    observers = [f"o{i}" for i in range(1, k + 1)]
+    env = [f"e{j}" for j in range(1, size + 1)]
+    state = tensor(product_state(["s", *observers], [psi, *phis]), make_ghz(env, chi))
+    ledger = ledger_record(CorrelationLedger(), state, "before")
+    for i, observer in enumerate(observers, start=1):
+        spec = MeasurementOutcomeSpec("s", observer, tuple(env[: size + 1 - i]))
+        state = corrected_measure(state, spec)
+        ledger = ledger_record(ledger, state, observer)
+    assert ledger.totals() == (size - 1,) * (k + 1)
+
+    branches = branch_decompose(state, "Z")
+    assert len(branches) == 2 * 2 * 2**k
+    kept = size - k  # e1 … e40 stay in the GHZ
+    psi, chi, phis = unit(psi), unit(chi), [unit(phi) for phi in phis]
+    for outcome, amplitude in zip(branches.outcomes().tolist(), branches.amplitudes.tolist()):
+        bits = ["↑↓".index(symbol) for symbol in outcome]
+        signal, ghz, dumps = bits[0], bits[k + 1], bits[k + 1 + kept:]
+        assert bits[: k + 1] == [signal] * (k + 1)
+        assert bits[k + 1 : k + 1 + kept] == [ghz] * kept
+        # dump slots e41 … e50 hold φ10 … φ1
+        want = psi[signal] * chi[ghz]
+        for phi, bit in zip(phis[::-1], dumps):
+            want *= phi[bit]
+        assert abs(amplitude - want) < 1e-12
+
+    holders = ["s", *observers]
+    pairs = [(a, b) for i, a in enumerate(holders) for b in holders[i + 1 :]]
+    report = agreement(branches, pairs)
+    assert len(pairs) == 55
+    assert max(abs(total - 1.0) for total in report.aggregates) < 1e-12
+    assert INCONSISTENT not in recover_record(branches, observers[1:])
+
+
+def _declared(parts, order, ghz_labels):
+    """A scenario document declaring ``parts`` in ``order``, the GHZ with its
+    labels listed as ``ghz_labels``."""
+    subsystems = []
+    for name in order:
+        amplitudes = [[complex(a).real, complex(a).imag] for a in parts[name]]
+        if name == "ghz":
+            subsystems.append({"ghz": {"labels": ghz_labels, "coefficients": amplitudes}})
+        else:
+            subsystems.append({"label": name, "amplitudes": amplitudes})
+    return parse_scenario(json.dumps({"subsystems": subsystems}))
+
+
+@settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    n=st.integers(25, 63),
+    products=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_register_order_does_not_change_the_measurement(no_dense_builds, n, products, seed, data):
+    rng = np.random.default_rng(seed)
+    env = [f"e{j}" for j in range(1, n - 1 - products)]
+    names = ["s", "o", "ghz", *(f"p{j}" for j in range(products))]
+    parts = {name: random_pair(rng, 0.1) for name in names}
+    spec = MeasurementOutcomeSpec("s", "o", tuple(env))
+    runs = []
+    for order, ghz_labels in (
+        (names, env),
+        (data.draw(st.permutations(names)), data.draw(st.permutations(env))),
+    ):
+        state = _initial_state(_declared(parts, order, ghz_labels))
+        ledger = ledger_record(CorrelationLedger(), state, "before")
+        state = corrected_measure(state, spec)
+        ledger = ledger_record(ledger, state, "after")
+        runs.append((state.register, ledger, branch_decompose(state, "Z")))
+
+    (first, first_ledger, first_branches), (other, other_ledger, other_branches) = runs
+    assert first_ledger.totals() == other_ledger.totals()
+    for a, b in zip(first_ledger.entries, other_ledger.entries):
+        assert {frozenset(c.members) for c in a.decomposition.clusters} == {
+            frozenset(c.members) for c in b.decomposition.clusters
+        }
+    back = [other.position(label) for label in first.labels]
+    want = dict(zip(first_branches.outcomes().tolist(), first_branches.amplitudes.tolist()))
+    got = {
+        "".join(outcome[p] for p in back): amplitude
+        for outcome, amplitude in zip(
+            other_branches.outcomes().tolist(), other_branches.amplitudes.tolist()
+        )
+    }
+    assert got.keys() == want.keys()
+    assert all(abs(got[outcome] - want[outcome]) < 1e-12 for outcome in want)

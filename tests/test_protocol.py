@@ -24,8 +24,6 @@ from qmeasure.protocol import (
     corrected_script,
     ideal_measure,
     ideal_script,
-    run_scenario_appendix,
-    run_scenario_different_basis,
     uncorrected_measure,
     uncorrected_script,
 )
@@ -47,7 +45,7 @@ from qmeasure.statevec import (
 from qmeasure.runner import RunError, run
 from qmeasure.scenario import ScenarioError, parse_scenario
 
-from conftest import random_pair
+from conftest import random_pair, scenario_state
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402  (the benchmark's scenario generators, standard library only)
@@ -559,37 +557,12 @@ class TestIdealMeasure:
                     check_ready(state, labels[pos], basis)
 
 
-class ScenarioOracle:
-    """Recompute the chained-measurement scenarios through the dense oracle."""
-
-    @staticmethod
-    def different_basis(psi):
-        labels = ("s", "o2", "o1", "o3'")
-        state = product_state(labels, [psi, (1, 1), (1, 0), (1, 1)])
-        script = (
-            ideal_script("s", "o1", "Z")
-            + ideal_script("s", "o2", "X")
-            + ideal_script("o1", "o3'", "X")
-        )
-        return oracle_apply(state, script)
-
-    @staticmethod
-    def appendix(psi, m):
-        records = tuple(f"^{j}o1" for j in range(1, m + 1))
-        labels = ("s", "o2", "o1", *records, "o3'")
-        pairs = [psi, (1, 1), (1, 0)] + [(1, 0)] * m + [(1, 1)]
-        state = product_state(labels, pairs)
-        script = ideal_script("s", "o1", "Z")
-        for record in records:
-            script += ideal_script("o1", record, "Z")
-        script += ideal_script("s", "o2", "X") + ideal_script("o1", "o3'", "X")
-        return oracle_apply(state, script)
-
-
 class TestDifferentBasisScenario:
     def test_deterministic_signal_four_equal_branches(self):
-        out = run_scenario_different_basis((1, 0))
-        assert approx_eq(out, ScenarioOracle.different_basis((1, 0)), 1e-12)
+        out = scenario_state("different_basis", (1, 0))
+        assert approx_eq(
+            out, scenario_state("different_basis", (1, 0), execute=oracle_apply), 1e-12
+        )
         branches = branch_decompose(out, "X")
         got = dict(zip(branches.outcomes().tolist(), branches.amplitudes.tolist()))
         assert set(got) == {"→→→→", "→→←←", "←←→→", "←←←←"}
@@ -597,8 +570,10 @@ class TestDifferentBasisScenario:
             assert abs(amplitude - 0.5) < 1e-12
 
     def test_plus_signal_keeps_only_agreement_branches(self):
-        out = run_scenario_different_basis((1, 1))
-        assert approx_eq(out, ScenarioOracle.different_basis((1, 1)), 1e-12)
+        out = scenario_state("different_basis", (1, 1))
+        assert approx_eq(
+            out, scenario_state("different_basis", (1, 1), execute=oracle_apply), 1e-12
+        )
         branches = branch_decompose(out, "X")
         got = dict(zip(branches.outcomes().tolist(), branches.amplitudes.tolist()))
         assert set(got) == {"→→→→", "←←←←"}
@@ -606,25 +581,23 @@ class TestDifferentBasisScenario:
             assert abs(amplitude - INV_SQRT2) < 1e-12
 
     def test_minus_signal_keeps_only_disagreement_branches(self):
-        out = run_scenario_different_basis((1, -1))
-        assert approx_eq(out, ScenarioOracle.different_basis((1, -1)), 1e-12)
+        out = scenario_state("different_basis", (1, -1))
+        assert approx_eq(
+            out, scenario_state("different_basis", (1, -1), execute=oracle_apply), 1e-12
+        )
         got = set(branch_decompose(out, "X").outcomes().tolist())
         assert got == {"→→←←", "←←→→"}
 
     def test_generic_signal_amplitude_pattern(self, rng):
         psi = random_pair(rng)
         pn = normalized(psi)
-        out = run_scenario_different_basis(psi)
+        out = scenario_state("different_basis", psi)
         branches = branch_decompose(out, "X")
         got = dict(zip(branches.outcomes().tolist(), branches.amplitudes.tolist()))
         plus, minus = (pn[0] + pn[1]) / 2, (pn[0] - pn[1]) / 2
         expected = {"→→→→": plus, "←←←←": plus, "→→←←": minus, "←←→→": minus}
         for outcome, amplitude in expected.items():
             assert abs(got.get(outcome, 0.0) - amplitude) < 1e-12
-
-    def test_rejects_zero_signal(self):
-        with pytest.raises(ValueError, match="zero"):
-            run_scenario_different_basis((0, 0))
 
 
 class TestAppendixScenario:
@@ -633,8 +606,10 @@ class TestAppendixScenario:
         return {lbl: ("Z" if lbl.startswith("^") else "X") for lbl in state.register.labels}
 
     def test_single_record_deterministic_signal(self):
-        out = run_scenario_appendix((1, 0), 1)
-        assert approx_eq(out, ScenarioOracle.appendix((1, 0), 1), 1e-12)
+        out = scenario_state("record_recovery", (1, 0), 1)
+        assert approx_eq(
+            out, scenario_state("record_recovery", (1, 0), 1, execute=oracle_apply), 1e-12
+        )
         branches = branch_decompose(out, self.record_basis(out))
         assert len(branches), "no branches survived"
         for outcome in branches.outcomes().tolist():
@@ -642,8 +617,10 @@ class TestAppendixScenario:
 
     def test_two_records_always_agree(self, rng):
         psi = random_pair(rng)
-        out = run_scenario_appendix(psi, 2)
-        assert approx_eq(out, ScenarioOracle.appendix(psi, 2), 1e-12)
+        out = scenario_state("record_recovery", psi, 2)
+        assert approx_eq(
+            out, scenario_state("record_recovery", psi, 2, execute=oracle_apply), 1e-12
+        )
         branches = branch_decompose(out, self.record_basis(out))
         for outcome in branches.outcomes().tolist():
             assert outcome[branches.position("^1o1")] == outcome[branches.position("^2o1")]
@@ -651,8 +628,10 @@ class TestAppendixScenario:
     def test_branch_weights_follow_the_record(self):
         # record-ket expansion: |amplitude| is |psi_r| / 2 branch by branch
         psi = (1, 1)
-        out = run_scenario_appendix(psi, 1)
-        assert approx_eq(out, ScenarioOracle.appendix(psi, 1), 1e-12)
+        out = scenario_state("record_recovery", psi, 1)
+        assert approx_eq(
+            out, scenario_state("record_recovery", psi, 1, execute=oracle_apply), 1e-12
+        )
         branches = branch_decompose(out, self.record_basis(out))
         assert len(branches) == 8
         for amplitude in branches.amplitudes.tolist():
@@ -661,13 +640,9 @@ class TestAppendixScenario:
     def test_record_tracks_pre_rotation_value(self, rng):
         psi = random_pair(rng, 0.1)
         pn = normalized(psi)
-        out = run_scenario_appendix(psi, 1)
+        out = scenario_state("record_recovery", psi, 1)
         branches = branch_decompose(out, self.record_basis(out))
         for outcome, amplitude in zip(branches.outcomes().tolist(), branches.amplitudes.tolist()):
             record = outcome[branches.position("^1o1")]
             expected_mag = abs(pn[0]) / 2 if record == "↑" else abs(pn[1]) / 2
             assert abs(abs(amplitude) - expected_mag) < 1e-12
-
-    def test_rejects_bad_record_count(self):
-        with pytest.raises(ValueError, match="record"):
-            run_scenario_appendix((1, 0), 0)

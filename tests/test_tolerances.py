@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from qmeasure import analysis, protocol, runner, statevec
+from qmeasure import analysis, cli, protocol, runner, statevec
 from qmeasure.gates import imprint, swap
 from qmeasure.protocol import ObserverNotReadyError, ideal_measure
 from qmeasure.runner import RunError, fmt, run
@@ -84,3 +84,14 @@ def test_default_tol_governs_cluster_detection():
     report = run(_tilted_environment(1e-6))
     ledger = {s.title: s.rows for s in report.sections}["step 2: ledger 'after'"]
     assert ledger[-1] == ("total", "1")
+
+
+def test_cli_help_prints_the_default_tol(monkeypatch, capsys):
+    def tol_help():
+        with pytest.raises(SystemExit):
+            cli.main(["run", "--help"])
+        return " ".join(capsys.readouterr().out.split())
+
+    assert "option; default 1e-9)" in tol_help()
+    monkeypatch.setattr(cli, "DEFAULT_TOL", 3e-7)
+    assert "option; default 3e-7)" in tol_help()
