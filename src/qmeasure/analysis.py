@@ -29,15 +29,13 @@ from typing import Sequence
 import numpy as np
 
 from .statevec import DENSE_MAX_QUBITS, X_SYMBOLS, Z_SYMBOLS, BranchSet, PureState
-from .statevec import _bit_matrix, _frame_view, _framed, _halves
+from .statevec import _bit_matrix, _frame_view, _framed, _halves, _rotated
 
 #: Default detection tolerance.  Two roles: the cutoff on |amplitude| of the
 #: support the candidate clusters are read from, and the relative 2-norm
 #: reconstruction error, over every nonzero amplitude, accepted per factored
 #: cluster.
 DEFAULT_TOL = 1e-9
-
-_SQRT2 = 2.0**0.5
 
 
 class NotClusterNormalError(ValueError):
@@ -298,7 +296,7 @@ def _factored(
     for factor, flags, _, _ in others:
         m, c = factor.size, np.array(factor.coefficients)
         if any(flags):  # the view of a flagged singleton
-            c = np.array([c[0] + c[1], c[0] - c[1]]) / _SQRT2
+            c = _rotated(1, None, c, 1)[1]
         up, live = sum(int(f) << (m - 1 - j) for j, f in enumerate(factor.flips)), np.abs(c) > tol
         index = np.array([up, (1 << m) - 1 - up])[live]
         found, left, _ = _detect(factor.members, index, c[live], index, tol, allow_relabeling)

@@ -41,12 +41,14 @@ from .statevec import (
 )
 
 
-#: Most rows a ``branches``, ``agreement`` or ``recover`` step may render:
-#: every listing of a state over up to 20 qubits.  A longer listing is
-#: refused once its rows are counted, before any is formatted.  Its columns
-#: take 24 bytes a row, its rendered text a few hundred: a 2^20-row
-#: ``branches`` step over 20 qubits peaks near 1 GiB RSS in ``qmeasure
-#: run``, and the refused listing of a dense 24-qubit state near 690 MiB.
+#: Most rows the ``branches``, ``agreement`` and ``recover`` steps of one
+#: report may render together: every listing of a state over up to 20
+#: qubits.  A listing that would take the report past it is refused once its
+#: rows are counted, before any is formatted.  Its columns take 24 bytes a
+#: row, its rendered text a few hundred, and a report holds every section
+#: until it is rendered: 2^20 rows over 20 qubits peak near 1 GiB RSS in
+#: ``qmeasure run``, and the refused listing of a dense 24-qubit state near
+#: 690 MiB.
 LISTING_MAX_ROWS = 2**20
 
 
@@ -134,15 +136,15 @@ def _initial_state(scenario: Scenario) -> PureState:
     return state
 
 
-def _listing(state: PureState, step_basis: dict[str, str]) -> BranchSet:
-    """The branches a listing step renders, refused past ``LISTING_MAX_ROWS``."""
+def _listing(state: PureState, step_basis: dict[str, str], listed: int) -> tuple[BranchSet, int]:
+    """The branches a listing step renders and the report's row count with
+    them, ``listed`` before; refused past ``LISTING_MAX_ROWS`` in all."""
     basis = {lbl: step_basis.get(lbl, "Z") for lbl in state.register.labels}
     branches = branch_decompose(state, basis)
-    if len(branches) > LISTING_MAX_ROWS:
-        raise ValueError(
-            f"{len(branches)} branches exceed the listing limit of {LISTING_MAX_ROWS} rows"
-        )
-    return branches
+    listed += len(branches)
+    if listed > LISTING_MAX_ROWS:
+        raise ValueError(f"{listed} branches exceed the listing limit of {LISTING_MAX_ROWS} rows")
+    return branches, listed
 
 
 def _formatted(title: str, values: np.ndarray) -> list[str]:
@@ -215,6 +217,7 @@ def run(scenario: Scenario, engine: str = "gates") -> Report:
         )
     ]
     ledger = analysis.CorrelationLedger()
+    listed = 0  # rows of the listings so far
 
     for i, step in enumerate(scenario.script):
         number = i + 1
@@ -232,7 +235,7 @@ def run(scenario: Scenario, engine: str = "gates") -> Report:
                     state, step.signal, step.observer, step.basis, execute
                 )
             elif isinstance(step, BranchesStep):
-                branches = _listing(state, step.basis)
+                branches, listed = _listing(state, step.basis, listed)
                 sections.append(_branch_section(f"step {number}: branches", branches))
             elif isinstance(step, LedgerStep):
                 ledger = analysis.ledger_record(
@@ -242,11 +245,11 @@ def run(scenario: Scenario, engine: str = "gates") -> Report:
                     _ledger_section(f"step {number}: ledger '{step.tag}'", ledger.entries[-1], tol)
                 )
             elif isinstance(step, AgreementStep):
-                branches = _listing(state, step.basis)
+                branches, listed = _listing(state, step.basis, listed)
                 report = analysis.agreement(branches, step.pairs)
                 sections.append(_agreement_section(f"step {number}: agreement", branches, report))
             elif isinstance(step, RecoverStep):
-                branches = _listing(state, step.basis)
+                branches, listed = _listing(state, step.basis, listed)
                 inferred = analysis.recover_record(branches, step.records)
                 sections.append(
                     _recover_section(f"step {number}: record recovery", branches, inferred)

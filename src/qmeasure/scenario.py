@@ -143,7 +143,7 @@ class Scenario:
     options: Options
 
 
-def _amplitude_pair(raw: Any, what: str, allow_zero: bool = False) -> tuple[complex, complex]:
+def _amplitude_pair(raw: Any, what: str) -> tuple[complex, complex]:
     if (
         not isinstance(raw, list)
         or len(raw) != 2
@@ -158,7 +158,7 @@ def _amplitude_pair(raw: Any, what: str, allow_zero: bool = False) -> tuple[comp
             if not finite or isinstance(part, bool):
                 raise ScenarioError("bad-amplitude", f"{what}: non-finite or non-numeric entry {part!r}")
         values.append(complex(pair[0], pair[1]))
-    if not allow_zero and all(v == 0 for v in values):
+    if all(v == 0 for v in values):
         raise ScenarioError("bad-amplitude", f"{what}: amplitude pair must not be all zero")
     return (values[0], values[1])
 
@@ -245,40 +245,40 @@ def _parse_basis(raw: Any, what: str, declared: set[str]) -> dict[str, str]:
     raise ScenarioError("bad-structure", f"{what}: basis must be a string or an object")
 
 
+#: The steps whose operands are labels: step class and label keys, in order.
+_OPERANDS = {
+    "imprint": (Imprint, ("source", "target")),
+    "inverse_imprint": (InverseImprint, ("source", "target")),
+    "swap": (Swap, ("a", "b")),
+    "rotate_basis": (RotateBasis, ("target",)),
+    "uncorrected_measure": (UncorrectedStep, ("signal", "observer", "environment")),
+    "ideal_measure": (IdealStep, ("signal", "observer")),
+}
+
+
+def _measure_basis(entry: Mapping, what: str) -> str:
+    """A measurement step's basis, Z unless the step names one."""
+    basis = entry.get("basis", "Z")
+    if basis not in ("Z", "X"):
+        raise ScenarioError("bad-structure", f"{what}: basis must be 'Z' or 'X'")
+    return basis
+
+
 def _parse_step(entry: Any, i: int, declared: set[str]) -> Step:
     what = f"script[{i}]"
     if not isinstance(entry, dict) or "op" not in entry:
         raise ScenarioError("bad-structure", f"{what}: expected an object with an 'op' key")
     op = entry["op"]
 
-    if op in ("imprint", "inverse_imprint"):
-        _require(entry, ("op", "source", "target"), what)
-        source = _known_label(entry["source"], what, declared)
-        target = _known_label(entry["target"], what, declared)
-        if source == target:
-            raise ScenarioError("bad-structure", f"{what}: source and target must differ")
-        return Imprint(source, target) if op == "imprint" else InverseImprint(source, target)
-
-    if op == "swap":
-        _require(entry, ("op", "a", "b"), what)
-        a = _known_label(entry["a"], what, declared)
-        b = _known_label(entry["b"], what, declared)
-        if a == b:
-            raise ScenarioError("bad-structure", f"{what}: swap operands must differ")
-        return Swap(a, b)
-
-    if op == "rotate_basis":
-        _require(entry, ("op", "target"), what)
-        return RotateBasis(_known_label(entry["target"], what, declared))
-
-    if op == "uncorrected_measure":
-        _require(entry, ("op", "signal", "observer", "environment"), what)
-        signal = _known_label(entry["signal"], what, declared)
-        observer = _known_label(entry["observer"], what, declared)
-        environment = _known_label(entry["environment"], what, declared)
-        if len({signal, observer, environment}) != 3:
+    if isinstance(op, str) and op in _OPERANDS:
+        step, keys = _OPERANDS[op]
+        _require(entry, ("op", *keys), what, optional=("basis",) if step is IdealStep else ())
+        labels = [_known_label(entry[key], what, declared) for key in keys]
+        if len(set(labels)) != len(labels):
             raise ScenarioError("bad-structure", f"{what}: operands must be distinct")
-        return UncorrectedStep(signal, observer, environment)
+        if step is IdealStep:
+            labels.append(_measure_basis(entry, what))
+        return step(*labels)
 
     if op == "corrected_measure":
         _require(entry, ("op", "signal", "observer", "environment"), what, optional=("basis",))
@@ -290,25 +290,12 @@ def _parse_step(entry: Any, i: int, declared: set[str]) -> Step:
                 "bad-structure", f"{what}: 'environment' must list at least two labels"
             )
         environment = tuple(_known_label(lbl, what, declared) for lbl in env_raw)
-        basis = entry.get("basis", "Z")
-        if basis not in ("Z", "X"):
-            raise ScenarioError("bad-structure", f"{what}: basis must be 'Z' or 'X'")
+        basis = _measure_basis(entry, what)
         try:
             spec = MeasurementOutcomeSpec(signal, observer, environment, basis)
         except ValueError as exc:
             raise ScenarioError("bad-structure", f"{what}: {exc}") from None
         return CorrectedStep(spec)
-
-    if op == "ideal_measure":
-        _require(entry, ("op", "signal", "observer"), what, optional=("basis",))
-        signal = _known_label(entry["signal"], what, declared)
-        observer = _known_label(entry["observer"], what, declared)
-        if signal == observer:
-            raise ScenarioError("bad-structure", f"{what}: signal and observer must differ")
-        basis = entry.get("basis", "Z")
-        if basis not in ("Z", "X"):
-            raise ScenarioError("bad-structure", f"{what}: basis must be 'Z' or 'X'")
-        return IdealStep(signal, observer, basis)
 
     if op == "branches":
         _require(entry, ("op",), what, optional=("basis",))

@@ -34,10 +34,11 @@ order of the amplitude index: the state is H^frame · φ, where H is the
 or dense vector.  A basis rotation flips one flag and touches no amplitude;
 the gates move flags as described in :mod:`qmeasure.gates`.  Every reader
 sees a state in a frame through :func:`_frame_view`, which clears only the
-flags that differ from that frame, in register-position order, with the
-(lo ± hi)/√2 arithmetic of the dense kernel: on the support index, which at
-most doubles per flag, when its final size stays within the share, else on
-a copy of the dense vector.  Branch listing reads the frame of its
+flags that differ from that frame, in register-position order, with the one
+(lo ± hi)/√2 kernel, :func:`_rotate_axis`: on a block of 2^k rows, one per
+pattern of the k cleared bits, over the index's distinct positions with
+those bits cleared, when that block stays within the share, else on a copy
+of the dense vector.  Branch listing reads the frame of its
 selectors, :attr:`PureState.amplitudes` the Z frame, cluster
 detection the Z frame where the factors of φ do not decide it, and the
 ready check the state's own frame with the observer's flag set to the
@@ -456,27 +457,13 @@ def _known_support(state: PureState, n: int) -> tuple[np.ndarray, np.ndarray] | 
     return None
 
 
-def approx_eq(
-    a: PureState,
-    b: PureState,
-    tol: float = 1e-9,
-    up_to_global_phase: bool = False,
-) -> bool:
-    """Max-norm amplitude comparison of two states on the same register.
-
-    With ``up_to_global_phase`` set, b is rotated by the phase that best
-    aligns it with a before comparing.
-    """
+def approx_eq(a: PureState, b: PureState, tol: float = 1e-9) -> bool:
+    """Max-norm amplitude comparison of two states on the same register."""
     if a.register != b.register:
         raise ValueError(
             f"register mismatch: {a.register.labels} vs {b.register.labels}"
         )
-    bv = b.amplitudes
-    if up_to_global_phase:
-        ip = np.vdot(bv, a.amplitudes)
-        if abs(ip) > 0.0:
-            bv = bv * (ip / abs(ip))
-    return bool(np.max(np.abs(a.amplitudes - bv)) <= tol)
+    return bool(np.max(np.abs(a.amplitudes - b.amplitudes)) <= tol)
 
 
 def _rotate_axis(arr: np.ndarray, pos: int) -> None:
@@ -519,29 +506,32 @@ def _rotated(
     register-position order, to amplitudes held as (index, values), or as
     the dense vector when ``index`` is None.
 
-    The final support is known before any step: 2^(flags) positions for each
-    distinct indexed position with the flagged bits cleared.  The view stays
-    on the index when that lists at most :func:`_sparse_limit` positions, so
-    that a view a larger register cannot hold fails on the dense limit
-    before its index grows; otherwise the dense kernel rotates a copy in
-    place.  Absent partners enter as exact zeros, as in the dense kernel, so
-    both give the same bits.
+    The final support is known before any step: 2^k positions, one per
+    pattern of the k flagged bits, for each distinct indexed position with
+    those bits cleared.  The view stays on the index when that lists at most
+    :func:`_sparse_limit` positions, so that a view a larger register cannot
+    hold fails on the dense limit before its index grows: the values go into
+    a zeroed block of 2^k rows, the flagged bits as its leading axes, which
+    :func:`_rotate_axis` rotates one axis at a time.  Otherwise that kernel
+    rotates a copy of the dense vector in place.  Absent partners enter as
+    exact zeros either way, so both give the same bits.
     """
     flagged = [pos for pos in range(n) if (mask >> (n - 1 - pos)) & 1]
     if index is None:
         values = values.copy()
     else:
-        keys = np.sort(index & ~mask)
-        distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
-        if distinct << len(flagged) <= _sparse_limit(n):
+        keys, slot = np.unique(index & ~mask, return_inverse=True)
+        if keys.size << len(flagged) <= _sparse_limit(n):
+            spread = np.zeros(1, dtype=np.int64)  # row r's flagged bits, at their positions
             for pos in flagged:
-                bit = 1 << (n - 1 - pos)
-                keys, lo, hi = _halves(index, values, bit, 0)
-                index = np.concatenate((keys, keys | bit))
-                values = np.concatenate(((lo + hi) * _INV_SQRT2, (lo - hi) * _INV_SQRT2))
-                order = np.argsort(index, kind="stable")
-                index, values = index[order], values[order]
-            return index, values
+                spread = (spread[:, None] | [0, 1 << (n - 1 - pos)]).reshape(-1)
+            block = np.zeros(spread.size * keys.size, dtype=np.complex128)
+            block[np.searchsorted(spread, index & mask) * keys.size + slot] = values
+            for axis in range(len(flagged)):
+                _rotate_axis(block, axis)
+            index = (spread[:, None] | keys).reshape(-1)
+            order = np.argsort(index, kind="stable")
+            return index[order], block[order]
         values = _scatter(n, index, values)
     for pos in flagged:
         _rotate_axis(values, pos)
@@ -584,9 +574,7 @@ def branch_decompose(state: PureState, basis: BasisChoice) -> BranchSet:
 
 def from_branches(branch_set: BranchSet) -> PureState:
     """Rebuild the state a BranchSet was decomposed from (round-trip inverse)."""
-    reg = branch_set.register
-    vec = _scatter(len(reg), branch_set.index, branch_set.amplitudes)
-    for pos, sel in enumerate(branch_set.basis):
-        if sel == "X":
-            _rotate_axis(vec, pos)
-    return PureState(reg, vec)
+    reg, n = branch_set.register, len(branch_set.basis)
+    mask = sum(1 << (n - 1 - p) for p, sel in enumerate(branch_set.basis) if sel == "X")
+    index, values = _rotated(n, branch_set.index, branch_set.amplitudes, mask)
+    return PureState(reg, values if index is None else _scatter(n, index, values))

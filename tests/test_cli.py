@@ -16,7 +16,7 @@ from qmeasure import runner, statevec
 from qmeasure.cli import main
 from qmeasure.gates import Imprint, InverseImprint, RotateBasis, Swap, invert_script
 from qmeasure.runner import RunError, fmt, run
-from qmeasure.scenario import ScenarioError, parse_scenario
+from qmeasure.scenario import BranchesStep, ScenarioError, parse_scenario
 from qmeasure.statevec import DenseLimitError
 
 from conftest import HOSTILE_INPUTS
@@ -40,6 +40,154 @@ FIG1 = """
   ]
 }
 """
+
+
+def _doc(script=(), subsystems=None, **extra) -> str:
+    """A document over s, o and the GHZ pair e1, e2 with the given script."""
+    subsystems = subsystems if subsystems is not None else [
+        {"label": "s", "amplitudes": [[1, 0], [1, 0]]},
+        {"label": "o", "amplitudes": [[1, 0], [0, 0]]},
+        {"ghz": {"labels": ["e1", "e2"], "coefficients": [[1, 0], [1, 0]]}},
+    ]
+    return json.dumps({"subsystems": subsystems, "script": list(script), **extra})
+
+
+def _single(amplitudes) -> str:
+    return _doc(subsystems=[{"label": "s", "amplitudes": amplitudes}])
+
+
+#: One document per ``raise ScenarioError`` in ``scenario.py``: (document,
+#: code, message), the message as the error prints it.
+PARSE_ERRORS = {
+    "json syntax": ('{"subsystems": [,]}', "syntax", "Expecting value (line 1, column 17)"),
+    "nested too deeply": (
+        HOSTILE_INPUTS["100000 nested lists"], "syntax", "document nested too deeply"
+    ),
+    "integer past the digit limit": (
+        MINIMAL.replace("[1, 0]", "[1" + "0" * 5000 + ", 0]"), "syntax",
+        "Exceeds the limit (4300 digits) for integer string conversion: value has 5001 digits;"
+        " use sys.set_int_max_str_digits() to increase the limit",
+    ),
+    "document not an object": ("[]", "bad-structure", "scenario must be a JSON object"),
+    "missing subsystems": ("{}", "bad-structure", "scenario: missing keys ['subsystems']"),
+    "stray top-level key": (_doc(extra=1), "bad-structure", "scenario: unexpected keys ['extra']"),
+    "empty subsystems": (_doc(subsystems=[]), "bad-structure", "'subsystems' must be a non-empty list"),
+    "subsystem not an object": (_doc(subsystems=[1]), "bad-structure", "subsystems[0]: expected an object"),
+    "ghz not an object": (
+        _doc(subsystems=[{"ghz": []}]), "bad-structure", "subsystems[0].ghz: expected an object"
+    ),
+    "ghz without labels": (
+        _doc(subsystems=[{"ghz": {"labels": [], "coefficients": [[1, 0], [1, 0]]}}]),
+        "bad-structure", "subsystems[0].ghz: 'labels' must be a non-empty list",
+    ),
+    "label with a space": (
+        _doc(subsystems=[{"label": "a b", "amplitudes": [[1, 0], [0, 0]]}]),
+        "bad-structure", "subsystems[0]: invalid subsystem label 'a b'",
+    ),
+    "label declared twice": (
+        _doc(subsystems=[{"label": "s", "amplitudes": [[1, 0], [0, 0]]}] * 2),
+        "duplicate-label", "subsystems[1]: label 's' declared twice",
+    ),
+    "one amplitude pair": (
+        _single([[1, 0]]), "bad-amplitude",
+        "subsystems[0].amplitudes: expected two [re, im] pairs, got [[1, 0]]",
+    ),
+    "non-numeric amplitude": (
+        _single([["x", 0], [0, 0]]), "bad-amplitude",
+        "subsystems[0].amplitudes: non-finite or non-numeric entry 'x'",
+    ),
+    "all-zero amplitudes": (
+        _single([[0, 0], [0, 0]]), "bad-amplitude",
+        "subsystems[0].amplitudes: amplitude pair must not be all zero",
+    ),
+    "64 subsystems": (
+        _doc(subsystems=[{"label": f"q{i}", "amplitudes": [[1, 0], [0, 0]]} for i in range(64)]),
+        "bad-structure", "64 subsystems declared, at most 63 are supported",
+    ),
+    "script not a list": (
+        json.dumps({"subsystems": json.loads(MINIMAL)["subsystems"], "script": {}}),
+        "bad-structure", "'script' must be a list",
+    ),
+    "step without op": (_doc([{}]), "bad-structure", "script[0]: expected an object with an 'op' key"),
+    "unknown op": (_doc([{"op": "warp"}]), "bad-structure", "script[0]: unknown op 'warp'"),
+    "op given as a list": (
+        _doc([{"op": ["imprint"]}]), "bad-structure", "script[0]: unknown op ['imprint']"
+    ),
+    "undeclared operand": (
+        _doc([{"op": "imprint", "source": "s", "target": "nope"}]),
+        "unknown-label", "script[0]: label 'nope' is not declared",
+    ),
+    "imprint onto itself": (
+        _doc([{"op": "imprint", "source": "s", "target": "s"}]),
+        "bad-structure", "script[0]: operands must be distinct",
+    ),
+    "inverse imprint onto itself": (
+        _doc([{"op": "inverse_imprint", "source": "o", "target": "o"}]),
+        "bad-structure", "script[0]: operands must be distinct",
+    ),
+    "swap with itself": (
+        _doc([{"op": "swap", "a": "e1", "b": "e1"}]), "bad-structure", "script[0]: operands must be distinct"
+    ),
+    "rotation without target": (
+        _doc([{"op": "rotate_basis"}]), "bad-structure", "script[0]: missing keys ['target']"
+    ),
+    "uncorrected operands repeated": (
+        _doc([{"op": "uncorrected_measure", "signal": "s", "observer": "o", "environment": "s"}]),
+        "bad-structure", "script[0]: operands must be distinct",
+    ),
+    "corrected environment of one label": (
+        _doc([{"op": "corrected_measure", "signal": "s", "observer": "o", "environment": ["e1"]}]),
+        "bad-structure", "script[0]: 'environment' must list at least two labels",
+    ),
+    "corrected basis Y": (
+        _doc([{"op": "corrected_measure", "signal": "s", "observer": "o",
+               "environment": ["e1", "e2"], "basis": "Y"}]),
+        "bad-structure", "script[0]: basis must be 'Z' or 'X'",
+    ),
+    "corrected operands repeated": (
+        _doc([{"op": "corrected_measure", "signal": "s", "observer": "s", "environment": ["e1", "e2"]}]),
+        "bad-structure", "script[0]: measurement operands must be distinct, got ('s', 's', 'e1', 'e2')",
+    ),
+    "ideal signal is its observer": (
+        _doc([{"op": "ideal_measure", "signal": "o", "observer": "o"}]),
+        "bad-structure", "script[0]: operands must be distinct",
+    ),
+    "ideal basis Y": (
+        _doc([{"op": "ideal_measure", "signal": "s", "observer": "o", "basis": "Y"}]),
+        "bad-structure", "script[0]: basis must be 'Z' or 'X'",
+    ),
+    "listing basis Y": (
+        _doc([{"op": "branches", "basis": "Y"}]), "bad-structure", "script[0]: basis must be 'Z' or 'X', got 'Y'"
+    ),
+    "listing selector Y": (
+        _doc([{"op": "branches", "basis": {"s": "Y"}}]),
+        "bad-structure", "script[0]: selector for 's' must be 'Z' or 'X', got 'Y'",
+    ),
+    "listing basis a number": (
+        _doc([{"op": "branches", "basis": 1}]), "bad-structure", "script[0]: basis must be a string or an object"
+    ),
+    "ledger tag a number": (
+        _doc([{"op": "ledger", "tag": 1}]), "bad-structure", "script[0]: 'tag' must be a string"
+    ),
+    "empty pairs": (
+        _doc([{"op": "agreement", "pairs": []}]), "bad-structure", "script[0]: 'pairs' must be a non-empty list"
+    ),
+    "pair of three": (
+        _doc([{"op": "agreement", "pairs": [["s", "o", "e1"]]}]),
+        "bad-structure", "script[0].pairs[0]: expected [a, b]",
+    ),
+    "empty records": (
+        _doc([{"op": "recover", "records": []}]), "bad-structure", "script[0]: 'records' must be a non-empty list"
+    ),
+    "options not an object": (_doc(options=[]), "bad-structure", "'options' must be an object"),
+    "stray option": (_doc(options={"seed": 1}), "bad-structure", "options: unexpected keys ['seed']"),
+    "tolerance out of range": (
+        _doc(options={"tolerance": 1}), "bad-structure", "options.tolerance must be in (0, 1), got 1"
+    ),
+    "relabel not a boolean": (
+        _doc(options={"relabel": "yes"}), "bad-structure", "options.relabel must be a boolean, got 'yes'"
+    ),
+}
 
 
 class TestParseScenario:
@@ -129,6 +277,20 @@ class TestParseScenario:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(json.dumps(doc))
         assert err.value.code == "duplicate-label"
+
+
+    @pytest.mark.parametrize("name", PARSE_ERRORS)
+    def test_each_parse_error_keeps_its_code_and_message(self, name):
+        text, code, message = PARSE_ERRORS[name]
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert (err.value.code, str(err.value)) == (code, f"[{code}] {message}")
+
+    def test_a_listing_step_with_no_basis_lists_in_z(self):
+        scenario = parse_scenario(_doc([{"op": "branches"}]))
+        assert scenario.script == (BranchesStep({}),)
+        outcomes = [row[0] for row in run(scenario).sections[1].rows[1:]]
+        assert outcomes == ["↑↑↑↑", "↑↑↓↓", "↓↑↑↑", "↓↑↓↓"]
 
 
 class TestRunner:
@@ -391,6 +553,18 @@ class TestSizeLimits:
         for engine in ("gates", "oracle"):
             listing = run(parse_scenario(self._eight_branches(step)), engine=engine).sections[1]
             assert len(listing.rows) == 1 + 8 + (step["op"] == "agreement")
+
+    def test_the_listing_limit_bounds_the_whole_report(self, monkeypatch):
+        # Of two 8-row listings under a 12-row limit, the first renders and
+        # the second is refused with the report's total.
+        monkeypatch.setattr(runner, "LISTING_MAX_ROWS", 12)
+        doc = json.loads(self._eight_branches(self.LISTINGS[0]))
+        doc["script"] = self.LISTINGS[:2]
+        with pytest.raises(RunError, match="16 branches exceed the listing limit of 12 rows") as err:
+            run(parse_scenario(json.dumps(doc)))
+        assert err.value.step_number == 2
+        doc["script"] = self.LISTINGS[:1]
+        assert len(run(parse_scenario(json.dumps(doc))).sections[1].rows) == 1 + 8
 
     def test_the_listing_limit_is_a_coded_cli_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(runner, "LISTING_MAX_ROWS", 7)
@@ -683,6 +857,32 @@ class TestCliProcess:
     def test_tol_flag_override(self, tmp_path):
         result = self.run_cli("run", str(SCENARIOS / "basic_measurement.json"), "--tol", "2")
         assert result.returncode == 1
+
+    def test_tol_and_relabel_flags_override_the_options_through_main(self, tmp_path, capsys):
+        # The pair e1, e2~ that a ↓ imprint leaves anticorrelated is one
+        # cluster under the document's 1e-11, where its 1e-10 coefficient is
+        # live, two product singletons under --tol 1e-6, and no cluster
+        # outside relabelling mode.
+        path = tmp_path / "flags.json"
+        path.write_text(json.dumps({
+            "subsystems": [
+                {"label": "d", "amplitudes": [[0, 0], [1, 0]]},
+                {"ghz": {"labels": ["e1", "e2"], "coefficients": [[1, 0], [1e-10, 0]]}},
+            ],
+            "script": [{"op": "imprint", "source": "d", "target": "e2"}, {"op": "ledger", "tag": "t"}],
+            "options": {"tolerance": 1e-11},
+        }))
+        clusters = []
+        for flags in ([], ["--tol", "1e-6"]):
+            assert main(["run", str(path), *flags]) == 0
+            lines = capsys.readouterr().out.split("\n\n")[1].splitlines()[2:]
+            clusters.append([line.split() for line in lines])
+        assert clusters == [
+            [["d", "0"], ["e1", "e2~", "1"], ["total", "1"]],
+            [["d", "0"], ["e1", "0"], ["e2", "0"], ["total", "0"]],
+        ]
+        assert main(["run", str(path), "--relabel", "off"]) == 2
+        assert "residual subsystems ('e1', 'e2')" in capsys.readouterr().err
 
     def test_entry_point_callable(self, capsys):
         assert main(["validate", str(SCENARIOS / "corrected_n3.json")]) == 0

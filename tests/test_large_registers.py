@@ -13,6 +13,7 @@ from qmeasure.analysis import (
     ledger_record,
     recover_record,
 )
+from qmeasure.gates import Imprint, InverseImprint, RotateBasis, Swap, apply_script, invert_script
 from qmeasure.protocol import MeasurementOutcomeSpec, corrected_measure
 from qmeasure.runner import _initial_state
 from qmeasure.scenario import parse_scenario
@@ -24,6 +25,21 @@ from conftest import random_pair
 def unit(pair):
     vec = np.array(pair, dtype=complex)
     return vec / np.linalg.norm(vec)
+
+
+def _spectated(rng, n: int, spectators: int):
+    """Generic s, o and ``spectators`` generic qubits p0 …, then a Z-frame
+    GHZ environment e1 … filling the register to n qubits."""
+    names = ["s", "o", *(f"p{j}" for j in range(spectators))]
+    env = [f"e{j}" for j in range(1, n - len(names) + 1)]
+    parts = product_state(names, [random_pair(rng, 0.1) for _ in names])
+    return tensor(parts, make_ghz(env, random_pair(rng, 0.1))), names, env
+
+
+def assert_same_listing(got, want) -> None:
+    """Equal positions, amplitudes within 1e-12."""
+    assert np.array_equal(got.index, want.index)
+    assert np.allclose(got.amplitudes, want.amplitudes, rtol=0.0, atol=1e-12)
 
 
 def test_network_of_ten_observers_on_a_50_qubit_ghz(no_dense_builds):
@@ -122,3 +138,49 @@ def test_register_order_does_not_change_the_measurement(no_dense_builds, n, prod
     }
     assert got.keys() == want.keys()
     assert all(abs(got[outcome] - want[outcome]) < 1e-12 for outcome in want)
+
+
+@settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(n=st.integers(25, 63), spectators=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_rotating_every_label_conjugates_the_measurement(no_dense_builds, n, spectators, seed):
+    # H^⊗n takes the Z procedure to the X one, so the X listing after every
+    # label is rotated is the Z listing without the rotation.  The
+    # spectators stay flagged in the frame the X check reads.
+    state, _, env = _spectated(np.random.default_rng(seed), n, spectators)
+    measured = corrected_measure(state, MeasurementOutcomeSpec("s", "o", tuple(env)))
+    rotated = apply_script(state, [RotateBasis(label) for label in state.register.labels])
+    x_spec = MeasurementOutcomeSpec("s", "o", tuple(env), "X")
+    z, x = branch_decompose(measured, "Z"), branch_decompose(corrected_measure(rotated, x_spec), "X")
+    assert (z.basis, x.basis) == (("Z",) * n, ("X",) * n)
+    assert_same_listing(x, z)
+
+
+def gate_scripts(operands: list[str]):
+    """Scripts of one to eight gates of every kind over ``operands``."""
+    pairs = st.lists(st.sampled_from(operands), min_size=2, max_size=2, unique=True)
+    kinds = st.sampled_from([Imprint, InverseImprint, Swap])
+    gate = st.builds(lambda kind, pair: kind(*pair), kinds, pairs) | st.builds(
+        RotateBasis, st.sampled_from(operands)
+    )
+    return st.lists(gate, min_size=1, max_size=8)
+
+
+@settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    n=st.integers(25, 63),
+    spectators=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_a_script_and_its_inverse_restore_the_z_listing(no_dense_builds, n, spectators, seed, data):
+    # Imprints with one flagged operand and the final Z view clear flags on
+    # the support index; eight gates at most double it eight times, which
+    # keeps every support under the share.
+    state, names, env = _spectated(np.random.default_rng(seed), n, spectators)
+    script = data.draw(gate_scripts([*names, *env[:3]]))
+    restored = apply_script(apply_script(state, script), invert_script(script))
+    assert_same_listing(branch_decompose(restored, "Z"), branch_decompose(state, "Z"))

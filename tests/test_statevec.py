@@ -207,7 +207,6 @@ class TestApproxEq:
         up = basis_state(("s",), "↑")
         minus = PureState(up.register, -up.amplitudes)
         assert not approx_eq(up, minus, 1e-12)
-        assert approx_eq(up, minus, 1e-12, up_to_global_phase=True)
 
     def test_distinct(self):
         assert not approx_eq(basis_state(("s",), "↑"), basis_state(("s",), "↓"), 1e-12)

@@ -204,11 +204,12 @@ def test_views_rotate_like_the_in_place_kernel_to_the_bit(n):
 @pytest.mark.parametrize("n", [25, 40, 58, 63])
 def test_views_past_the_share_fail_before_the_index_grows(n, monkeypatch):
     # Over more than DENSE_MAX_QUBITS qubits, a view whose final support
-    # passes the share is refused on the dense limit before any flag clear.
+    # passes the share is refused on the dense limit before any flag clear:
+    # the block path would reach the kernel before its index grows.
     def refuse(*args):
         raise AssertionError("support index grown")
 
-    monkeypatch.setattr(statevec, "_halves", refuse)
+    monkeypatch.setattr(statevec, "_rotate_axis", refuse)
     index = np.array([0, 2**n - 1], dtype=np.int64)
     values = np.array([0.6, 0.8j])
     over = statevec.DENSE_MAX_QUBITS - 4  # two keys << this passes 2^24 / 16
