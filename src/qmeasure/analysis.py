@@ -23,7 +23,7 @@ resource moves through a measurement procedure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +36,12 @@ from .statevec import _bit_matrix, _frame_view, _framed, _halves, _rotated
 #: reconstruction error, over every nonzero amplitude, accepted per factored
 #: cluster.
 DEFAULT_TOL = 1e-9
+
+
+#: A peel normalizes the rest from its ↓ half only where that outweighs the
+#: ↑ half by more than this relative margin: above the √N-ulp rounding (2⁻⁴¹
+#: at N = 2^24 columns) by which two paths' sums over a tie differ.
+_PICK_MARGIN = 2.0**-40
 
 
 class NotClusterNormalError(ValueError):
@@ -207,8 +213,7 @@ def _peel(
 
     n_up, n_down = float(np.linalg.norm(v_up)), float(np.linalg.norm(v_down))
     norm = float(np.hypot(n_up, n_down))
-    n_pick = max(n_up, n_down)
-    rest = (v_up if n_up >= n_down else v_down) / n_pick
+    rest = v_down / n_down if n_down > n_up * (1.0 + _PICK_MARGIN) else v_up / n_up
     c_up = complex(np.vdot(rest, v_up))
     c_down = complex(np.vdot(rest, v_down))
 
@@ -258,9 +263,10 @@ def _detect(
 
 def _factored(
     state: PureState, tol: float, allow_relabeling: bool
-) -> tuple[list[CorrelationCluster], list[str]] | None:
-    """The clusters and residual of the state's Z view, read off the factors
-    of its stored amplitudes φ; None where they do not decide them."""
+) -> tuple[list[CorrelationCluster], list[str], complex] | None:
+    """The clusters, residual and leftover phase of the state's Z view, read
+    off the factors of its stored amplitudes φ; None where they do not
+    decide them."""
     reg, frame, n = state.register, state._frame, state.n_qubits
     try:
         idx, amp, live = _support(_framed(reg, state._index, state._values, 0), tol)
@@ -270,41 +276,45 @@ def _factored(
         return None
     # φ lies within len(factors)·fit of the product of factors accepted within fit.
     fit = 2.0**-49 * (amp.size + n + 3)
-    factors, residual, _ = _detect(reg.labels, idx, amp, live, fit, allow_relabeling)
+    factors, residual, amp = _detect(reg.labels, idx, amp, live, fit, allow_relabeling)
     if residual:
         return None
-    rejected, others, low = [], [], 1.0
-    for factor in factors:
-        flags = [(frame >> (n - 1 - reg.position(m))) & 1 for m in factor.members]
-        k, c = sum(flags), np.array(factor.coefficients) / np.hypot(*np.abs(factor.coefficients))
-        w = 2.0 ** (-k / 2) * np.abs([c[0] + c[1], c[0] - c[1]] if k == factor.size else c)
-        low *= w[w > 0].min()  # the factor's smallest nonzero modulus in the view
-        (rejected if factor.size > 1 and k else others).append((factor, flags, k, np.abs(c)))
-    # The view path's columns stay within slack of the product's view (its
-    # peels renormalize by at most √2 each); margin, 16·(N + 3)·2⁻⁵³,
-    # bounds the relative rounding of its norms and inner products over
-    # N ≤ 2^24 columns.  Below 2·tol, bound leaves the other factors' peels
-    # accepted.
-    slack = 4 * len(factors) * (len(others) + 1) * fit * 2.0 ** (len(others) / 2)
-    margin = 2.0**-49 * (2 ** min(n, DENSE_MAX_QUBITS) + 3)
-    bound = (tol * (1.0 + slack) + 3 * slack) / (1.0 - margin)
-    if not rejected or bound >= 2 * tol or low <= bound:
-        return None
-    if any(x.min() <= bound or x.max() <= 2.0 ** (0.5 - k / 2) + bound for *_, k, x in rejected):
-        return None
     clusters: list[CorrelationCluster] = []
-    for factor, flags, _, _ in others:
+    residual, phase, low, schmidt, own = [], complex(amp[0]), 1.0, 1.0, 0
+    for factor in factors:
         m, c = factor.size, np.array(factor.coefficients)
-        if any(flags):  # the view of a flagged singleton
+        k = sum((frame >> (n - 1 - reg.position(label))) & 1 for label in factor.members)
+        u = c / np.hypot(*np.abs(c))
+        w = 2.0 ** (-k / 2) * np.abs([u[0] + u[1], u[0] - u[1]] if k == m else u)
+        low *= w[w > 0].min()  # the factor's smallest nonzero modulus in the view
+        if m > 1 and k:  # no peel of its view errs by less than its Schmidt coefficient
+            if m == 2 == k and not w.all():  # a Bell pair read in X
+                return None
+            schmidt = min(schmidt, np.abs(u).min())
+            residual += factor.members
+            continue
+        if k:  # the view of a flagged singleton
             c = _rotated(1, None, c, 1)[1]
         up, live = sum(int(f) << (m - 1 - j) for j, f in enumerate(factor.flips)), np.abs(c) > tol
         index = np.array([up, (1 << m) - 1 - up])[live]
-        found, left, _ = _detect(factor.members, index, c[live], index, tol, allow_relabeling)
+        found, left, rest = _detect(factor.members, index, c[live], index, tol, allow_relabeling)
         if left:
             return None
         clusters += found
+        phase *= complex(rest[0])
+        own += 1
+    # The view path's columns stay within slack of the product's view (its
+    # peels renormalize by at most √2 each, one per factor peeled on its own
+    # view); margin, 16·(N + 3)·2⁻⁵³, bounds the relative rounding of its
+    # norms and inner products over N ≤ 2^24 columns.  Below 2·tol, bound
+    # leaves those factors' peels accepted.
+    slack = 4 * len(factors) * (own + 1) * fit * 2.0 ** (own / 2)
+    margin = 2.0**-49 * (2 ** min(n, DENSE_MAX_QUBITS) + 3)
+    bound = (tol * (1.0 + slack) + 3 * slack) / (1.0 - margin)
+    if bound >= 2 * tol or low <= bound or schmidt <= bound:
+        return None
     clusters.sort(key=lambda cluster: reg.position(cluster.members[0]))
-    return clusters, [m for factor, *_ in rejected for m in factor.members]
+    return clusters, residual, phase
 
 
 def find_clusters(
@@ -329,37 +339,31 @@ def find_clusters(
     subsystem's fit, noise included, is off by more than ``tol``.
 
     A state with basis flags, H^frame · φ, is first read off the factors of
-    its stored amplitudes φ, which H^frame maps to factors of the Z view.
-    A multi-member factor's Schmidt coefficient min(|c↑|, |c↓|)/‖c‖ is its
-    view's too and bounds from below the error of any peel that splits it;
-    were the view within ε of two branches, every |φ| on the factor would
-    be at most √2·2^(−k/2) + ε with k members flagged (the Walsh–Hadamard
-    form of the Donoho–Stark uncertainty principle).  A flagged factor
-    whose two bounds clear the peel's reject bound by a rounding margin goes
-    to the residual; the others, singletons or unflagged, are peeled on
-    their own views of at most two positions.  The view decides instead
-    when φ has a residual, when no factor is so rejected
-    or another flagged one is not, and when the view's smallest nonzero
-    modulus, the product of the factors' closed-form minima, does not clear
-    the cutoff by that margin.  The clusters are the view's either way,
-    coefficients up to rounding.
+    its stored amplitudes φ: H^frame maps each to a factor of the Z view
+    with the same weights p, q and Schmidt coefficient s = min(√p, √q).
+    With m ≥ 2 members, k ≥ 1 of them flagged, that view has no two-branch
+    split but the Bell pair read in X: a peel of unflagged members, whose
+    halves are H^k-images of orthogonal patterns, errs by s, and one of a
+    flagged member, whose halves overlap by |p − q|, by √(2pq) ≥ s.  Such a
+    factor goes to the residual when s clears the peel's reject bound by a
+    rounding margin; the others are peeled on their own views of at most
+    two positions.  The view decides that Bell pair, an s within the bound,
+    a φ with a residual, and a view whose smallest nonzero modulus, the
+    product of the factors' closed-form minima, does not clear the cutoff
+    by that margin.  The clusters are the view's either way, coefficients
+    up to rounding.
     """
     reg = state.register
     found = _factored(state, tol, allow_relabeling) if state._frame else None
-    if found is not None:
-        clusters, residual = found
-    else:
+    if found is None:
         clusters, residual, amp = _detect(reg.labels, *_support(state, tol), tol, allow_relabeling)
-        if clusters and not residual:
-            # amp is now the leftover scalar; fold its phase into the last
-            # cluster so the product of cluster states equals the input exactly.
-            phase = complex(amp[0])
-            last = clusters[-1]
-            clusters[-1] = CorrelationCluster(
-                last.members,
-                (last.coefficients[0] * phase, last.coefficients[1] * phase),
-                last.flips,
-            )
+        found = clusters, residual, complex(amp[0])
+    clusters, residual, phase = found
+    if clusters and not residual:
+        # The leftover is a phase; fold it into the last cluster so the
+        # product of cluster states equals the input exactly.
+        c_up, c_down = clusters[-1].coefficients
+        clusters[-1] = replace(clusters[-1], coefficients=(c_up * phase, c_down * phase))
     residual.sort(key=reg.position)
     return ClusterDecomposition(tuple(clusters), tuple(residual))
 

@@ -430,18 +430,13 @@ def tensor(a: PureState, b: PureState) -> PureState:
     sa, sb = _known_support(a, len(reg)), _known_support(b, len(reg))
     if sa is None or sb is None or sa[0].size * sb[0].size > _sparse_limit(len(reg)):
         _check_dense(len(reg))
-        outer = np.multiply.outer(_stored_dense(a), _stored_dense(b))
+        # No operand here has an index: one holds at most SPARSE_SHARE of its
+        # own positions, so the other would be scanned and the product fit.
+        outer = np.multiply.outer(a._values, b._values)
         return _adopt(reg, outer.reshape(-1), None, frame)
     (ia, va), (ib, vb) = sa, sb
     index = ((ia << b.n_qubits)[:, None] | ib).reshape(-1)
     return _adopt(reg, np.multiply.outer(va, vb).reshape(-1), index, frame)
-
-
-def _stored_dense(state: PureState) -> np.ndarray:
-    """φ of the state H^frame · φ as a dense vector."""
-    if state._index is None:
-        return state._values
-    return _scatter(state.n_qubits, state._index, state._values)
 
 
 def _known_support(state: PureState, n: int) -> tuple[np.ndarray, np.ndarray] | None:

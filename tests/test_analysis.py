@@ -428,7 +428,7 @@ def _dense_peel(labels, vec, members, flips, tol):
     v_down = psi[down_idx].reshape(-1)
 
     n_up, n_down = np.linalg.norm(v_up), np.linalg.norm(v_down)
-    pick = v_up if n_up >= n_down else v_down
+    pick = v_down if n_down > n_up * (1 + analysis._PICK_MARGIN) else v_up
     rest = pick / np.linalg.norm(pick)
     c_up = complex(np.vdot(rest, v_up))
     c_down = complex(np.vdot(rest, v_down))
@@ -773,9 +773,10 @@ def ghz_next_to_s_and_o(n, chi, so=None):
 #: GHZ edges next to s and o: a Schmidt coefficient ten times the bound, and
 #: 1.5 times it, where all but one of φ's small-branch columns fall under the
 #: cutoff unless s and o are basis states; |a − b| about 1e-8, which puts the
-#: view's odd half near the cutoff; a two-member GHZ whose view stays
-#: two-branch; one and two flagged members.  With whether the factored path
-#: decides them.
+#: view's odd half near the cutoff; two-member GHZs read in X, which stay
+#: two-branch for (1, 1), have full support for (1, i) and lose a half for
+#: (1, −1); one and two flagged members of three.  With whether the factored
+#: path decides them.
 BASIS_SO = ((1, 0), (0, 1))
 GHZ_EDGES = [
     (6, 0b001111, 1e-9, (1, 1e-8), None, True),
@@ -783,8 +784,12 @@ GHZ_EDGES = [
     (6, 0b111111, 1e-9, (1, 1.5e-9), BASIS_SO, True),
     (6, 0b001111, 1e-9, (1, 1 + 2**0.5 * 1e-8), None, False),
     (4, 0b0011, 1e-9, (1, 1), None, False),
-    (5, 0b00001, 1e-6, (0.6, 0.8j), None, False),
+    (4, 0b0011, 1e-9, (1, 1j), None, True),
+    (4, 0b0011, 1e-9, (1, -1), None, False),
+    (5, 0b00001, 1e-6, (0.6, 0.8j), None, True),
     (5, 0b00011, 1e-6, (0.6, 0.8j), None, True),
+    (5, 0b00001, 1e-9, (1, 1), None, True),
+    (5, 0b00011, 1e-9, (1, 1), None, True),
 ]
 
 
@@ -796,6 +801,12 @@ def with_ghz_edges(test):
     return test
 
 
+#: A pair of amplitudes in quarters, not both zero, so that the X-frame
+#: moduli of s = (0.6, 0.8i), and of many such pairs, tie.
+QUARTERS = st.builds(complex, *[st.integers(-4, 4).map(lambda x: x / 4)] * 2)
+PAIRS = st.tuples(QUARTERS, QUARTERS).filter(any)
+
+
 class TestFactoredPath:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -804,16 +815,17 @@ class TestFactoredPath:
         mask=st.integers(0, 2**12 - 1),
         tol=st.sampled_from([1e-9, 1e-6, 1e-3]),
         relabel=st.booleans(),
-        ghz=st.none(),
+        ghz=st.none() | st.tuples(PAIRS, st.none() | st.tuples(PAIRS, PAIRS)),
     )
     @with_ghz_edges
+    @example(seed=0, n=7, mask=0b1000011, tol=1e-9, relabel=False, ghz=((0.25, 0.25 + 0.5j), None))
     def test_flagged_states_read_as_their_dense_twins(self, seed, n, mask, tol, relabel, ghz):
-        # random cluster products, or a GHZ edge over e1… next to s and o
+        # random cluster products, or a GHZ over e1… next to s and o
         if ghz is None:
             state = random_cluster_state(np.random.default_rng(seed), n)
         else:
-            state = ghz_next_to_s_and_o(n, *ghz)
-        flagged = flagged_state(state, mask % 2**n)
+            state = ghz_next_to_s_and_o(max(n, 3), *ghz)
+        flagged = flagged_state(state, mask % 2**state.n_qubits)
         assert_same_clusters(
             find_clusters(flagged, tol, relabel), find_clusters(dense_twin(flagged), tol, relabel)
         )
@@ -831,6 +843,16 @@ class TestFactoredPath:
         decomposition = find_clusters(flagged)
         assert decomposition.residual == ()
         assert [c.members for c in decomposition.clusters] == [("s",), ("o",), ("e1", "e2")]
+
+    def test_a_tolerance_above_every_amplitude_leaves_no_support(self):
+        # φ's largest amplitude is 2^(−3/2) ≈ 0.354, so the factored path
+        # finds no support and declines, and the view's raises
+        state = tensor(product_state(("s", "o"), [(1, 1), (1, 1)]), make_ghz(env_labels(3), (1, 1)))
+        flagged = rotate_basis(state, "e1")
+        assert analysis._factored(flagged, 0.6, False) is None
+        for current in (flagged, dense_twin(flagged)):
+            with pytest.raises(ValueError, match="state has no support above the tolerance cutoff"):
+                find_clusters(current, 0.6)
 
     def test_unflagged_states_take_the_view_path(self, monkeypatch):
         def refuse(*args):
@@ -856,7 +878,7 @@ def _peel_by_differences(v_up, v_down, tol):
     coefficients and normalized rest, None when not accepted."""
     v_up, v_down = v_up.copy(), v_down.copy()
     n_up, n_down = float(np.linalg.norm(v_up)), float(np.linalg.norm(v_down))
-    rest = (v_up if n_up >= n_down else v_down) / max(n_up, n_down)
+    rest = v_down / n_down if n_down > n_up * (1 + analysis._PICK_MARGIN) else v_up / n_up
     c_up, c_down = complex(np.vdot(rest, v_up)), complex(np.vdot(rest, v_down))
     v_up -= c_up * rest
     v_down -= c_down * rest

@@ -858,6 +858,21 @@ class TestCliProcess:
         result = self.run_cli("run", str(SCENARIOS / "basic_measurement.json"), "--tol", "2")
         assert result.returncode == 1
 
+    def test_a_tol_above_every_amplitude_fails_its_ledger_step(self, tmp_path):
+        path = tmp_path / "tol.json"
+        path.write_text(json.dumps({
+            "subsystems": [
+                {"label": "s", "amplitudes": [[1, 0], [1, 0]]},
+                {"label": "o", "amplitudes": [[1, 0], [1, 0]]},
+                {"ghz": {"labels": ["e1", "e2", "e3"], "coefficients": [[1, 0], [1, 0]]}},
+            ],
+            "script": [{"op": "rotate_basis", "target": "e1"}, {"op": "ledger", "tag": "t"}],
+        }))
+        result = self.run_cli("run", str(path), "--tol", "0.6")
+        assert result.returncode == 2
+        assert "step 2 (LedgerStep): state has no support above the tolerance cutoff" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_tol_and_relabel_flags_override_the_options_through_main(self, tmp_path, capsys):
         # The pair e1, e2~ that a ↓ imprint leaves anticorrelated is one
         # cluster under the document's 1e-11, where its 1e-10 coefficient is
