@@ -801,8 +801,8 @@ def with_ghz_edges(test):
     return test
 
 
-#: A pair of amplitudes in quarters, not both zero, so that the X-frame
-#: moduli of s = (0.6, 0.8i), and of many such pairs, tie.
+#: Amplitudes in quarter steps, paired not both zero: the X-frame moduli of
+#: many such pairs tie, as those of s = (0.6, 0.8i) do.
 QUARTERS = st.builds(complex, *[st.integers(-4, 4).map(lambda x: x / 4)] * 2)
 PAIRS = st.tuples(QUARTERS, QUARTERS).filter(any)
 
