@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .statevec import DENSE_MAX_QUBITS, X_SYMBOLS, Z_SYMBOLS, BranchSet, PureState
-from .statevec import _bit_matrix, _frame_view, _framed, _halves, _rotated
+from .statevec import _bit_matrix, _frame_view, _framed, _halves, _rotate_axis
 
 #: Default detection tolerance.  Two roles: the cutoff on |amplitude| of the
 #: support the candidate clusters are read from, and the relative 2-norm
@@ -161,8 +161,6 @@ def _covariation_classes(idx: np.ndarray, n: int, allow_relabeling: bool) -> lis
     positions (all-zero rows) stay singletons.  Classes come out ordered by
     their first position (the dict keeps insertion order).
     """
-    if n == 1:  # a lone position, as in every one-member factor _factored peels
-        return [[0]]
     first = _bit_matrix(idx[:1], n)
     width = (idx.size + 7) // 8
     matrix = np.empty((n, width), dtype=np.uint8)  # one row of packed bits per position
@@ -261,6 +259,28 @@ def _detect(
     return clusters, residual, amp
 
 
+def _own_view(
+    factor: CorrelationCluster, flagged: bool, tol: float, allow_relabeling: bool
+) -> tuple[list[CorrelationCluster], complex] | None:
+    """The clusters and leftover phase of the view of a factor of φ, or None
+    where it has a residual or nothing above the cutoff.  One member is read
+    in closed form, as ``_peel`` reads it but with no fit test (``_factored``)."""
+    m, c = factor.size, np.array(factor.coefficients)
+    if m > 1:
+        up, live = sum(int(f) << (m - 1 - j) for j, f in enumerate(factor.flips)), np.abs(c) > tol
+        index = np.array([up, (1 << m) - 1 - up])[live]
+        found, left, rest = _detect(factor.members, index, c[live], index, tol, allow_relabeling)
+        return None if left else (found, complex(rest[0]))
+    if flagged:
+        _rotate_axis(c, 0)
+    c[np.abs(c) <= tol] = 0
+    a_up, a_down = np.abs(c).tolist()
+    if not a_up + a_down:
+        return None
+    r = complex(c[1] / a_down if a_down > a_up * (1.0 + _PICK_MARGIN) else c[0] / a_up)
+    return [CorrelationCluster(factor.members, tuple(map(complex, r.conjugate() * c)), (False,))], r
+
+
 def _factored(
     state: PureState, tol: float, allow_relabeling: bool
 ) -> tuple[list[CorrelationCluster], list[str], complex] | None:
@@ -293,21 +313,18 @@ def _factored(
             schmidt = min(schmidt, np.abs(u).min())
             residual += factor.members
             continue
-        if k:  # the view of a flagged singleton
-            c = _rotated(1, None, c, 1)[1]
-        up, live = sum(int(f) << (m - 1 - j) for j, f in enumerate(factor.flips)), np.abs(c) > tol
-        index = np.array([up, (1 << m) - 1 - up])[live]
-        found, left, rest = _detect(factor.members, index, c[live], index, tol, allow_relabeling)
-        if left:
+        viewed = _own_view(factor, bool(k), tol, allow_relabeling)
+        if viewed is None:
             return None
-        clusters += found
-        phase *= complex(rest[0])
+        clusters += viewed[0]
+        phase *= viewed[1]
         own += 1
     # The view path's columns stay within slack of the product's view (its
     # peels renormalize by at most √2 each, one per factor peeled on its own
     # view); margin, 16·(N + 3)·2⁻⁵³, bounds the relative rounding of its
     # norms and inner products over N ≤ 2^24 columns.  Below 2·tol, bound
-    # leaves those factors' peels accepted.
+    # leaves those factors' peels accepted; it takes tol > 3·slack ≥ 24√2·fit >
+    # 3e-13, past the rounding, about 1e-16, by which a one-member peel errs.
     slack = 4 * len(factors) * (own + 1) * fit * 2.0 ** (own / 2)
     margin = 2.0**-49 * (2 ** min(n, DENSE_MAX_QUBITS) + 3)
     bound = (tol * (1.0 + slack) + 3 * slack) / (1.0 - margin)
@@ -347,11 +364,11 @@ def find_clusters(
     flagged member, whose halves overlap by |p − q|, by √(2pq) ≥ s.  Such a
     factor goes to the residual when s clears the peel's reject bound by a
     rounding margin; the others are peeled on their own views of at most
-    two positions.  The view decides that Bell pair, an s within the bound,
-    a φ with a residual, and a view whose smallest nonzero modulus, the
-    product of the factors' closed-form minima, does not clear the cutoff
-    by that margin.  The clusters are the view's either way, coefficients
-    up to rounding.
+    two positions, a one-member view in closed form.  The view decides that
+    Bell pair, an s within the bound, a φ with a residual, and a view whose
+    smallest nonzero modulus, the product of the factors' closed-form minima,
+    does not clear the cutoff by that margin.  The clusters are the view's
+    either way, coefficients up to rounding.
     """
     reg = state.register
     found = _factored(state, tol, allow_relabeling) if state._frame else None

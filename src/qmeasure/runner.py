@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import analysis, protocol
+from . import analysis, protocol, statevec
 from .gates import GateOp, apply_script
 from .oracle import oracle_apply
 from .scenario import (
@@ -30,15 +30,8 @@ from .scenario import (
     Step,
     UncorrectedStep,
 )
-from .statevec import (
-    BranchSet,
-    PRUNE_TOL,
-    PureState,
-    branch_decompose,
-    make_ghz,
-    product_state,
-    tensor,
-)
+from .statevec import BranchSet, PRUNE_TOL, PureState, branch_decompose
+from .statevec import make_ghz, product_state, tensor  # noqa: F401  (bench/spans.py wraps these names)
 
 
 #: Most rows the ``branches``, ``agreement`` and ``recover`` steps of one
@@ -120,20 +113,24 @@ def fmt(value: float) -> str:
 
 
 def _initial_state(scenario: Scenario) -> PureState:
-    state: PureState | None = None
+    """The declared state, stored as ``tensor`` chained over the declared
+    states would store it, in one fold of the product rule over their stored
+    amplitudes on the parser's register, with one norm check at the end."""
+    product: tuple | None = None
     for decl in scenario.declarations:
         try:
             if isinstance(decl, SingleDecl):
-                part = product_state((decl.label,), [decl.amplitudes])
+                part = statevec._single_part(decl.label, decl.amplitudes)
             elif isinstance(decl, GhzDecl):
-                part = make_ghz(decl.labels, decl.coefficients)
+                part = statevec._ghz_part(len(decl.labels), decl.coefficients)
             else:
                 raise TypeError(f"unknown declaration {decl!r}")
-            state = part if state is None else tensor(state, part)
+            product = part if product is None else statevec._product(product, part)
         except ValueError as exc:
             raise RunError(0, decl, exc) from exc
-    assert state is not None
-    return state
+    assert product is not None
+    _, index, values = product
+    return statevec._adopt(scenario.register, values, index)
 
 
 def _listing(state: PureState, step_basis: dict[str, str], listed: int) -> tuple[BranchSet, int]:

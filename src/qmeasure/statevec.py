@@ -416,8 +416,23 @@ def make_ghz(
     reg = as_register(labels)
     if len(coefficients) != 2:
         raise ValueError("make_ghz takes exactly two coefficients (qubit registers)")
+    _, index, values = _ghz_part(len(reg), coefficients)
+    return _adopt(reg, values, index)
+
+
+def _single_part(label: str, pair: Sequence[complex]) -> tuple:
+    """What :func:`product_state` stores for one label: its normalized pair
+    times 1, as by ``np.kron``, which sets the sign of some zeros."""
+    return 1, None, _normalized_pair(pair, f"amplitude pair for {label!r}") * (1 + 0j)
+
+
+def _ghz_part(m: int, coefficients: Sequence[complex]) -> tuple:
+    """What :func:`make_ghz` stores over m labels."""
     coeffs = _normalized_pair(coefficients, "GHZ coefficient vector")
-    return _adopt(reg, coeffs, np.array([0, 2 ** len(reg) - 1], dtype=np.int64))
+    index = np.array([0, 2**m - 1], dtype=np.int64)
+    if index.size > _sparse_limit(m):
+        return m, None, _scatter(m, index, coeffs)
+    return m, index, coeffs
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
@@ -427,29 +442,28 @@ def tensor(a: PureState, b: PureState) -> PureState:
         raise ValueError(f"registers share labels: {sorted(overlap)}")
     reg = Register(a.register.labels + b.register.labels)
     frame = (a._frame << b.n_qubits) | b._frame
-    sa, sb = _known_support(a, len(reg)), _known_support(b, len(reg))
-    if sa is None or sb is None or sa[0].size * sb[0].size > _sparse_limit(len(reg)):
-        _check_dense(len(reg))
+    _, index, values = _product((a.n_qubits, a._index, a._values), (b.n_qubits, b._index, b._values))
+    return _adopt(reg, values, index, frame)
+
+
+def _product(a: tuple, b: tuple) -> tuple:
+    """The stored amplitudes of a ⊗ b, each part (qubits, index or None, values)
+    as a state stores them: the one product rule, of :func:`tensor` and the
+    runner's declared state.  A part with no index is scanned when it holds at
+    most ``SPARSE_SHARE`` of the product's positions (module docstring)."""
+    n, known = a[0] + b[0], []
+    for width, index, values in (a, b):
+        if index is None and 2**width <= 2**n * SPARSE_SHARE:
+            index = np.flatnonzero(values)
+            values = values[index]
+        known.append((index, values))
+    (ia, va), (ib, vb) = known
+    if ia is None or ib is None or ia.size * ib.size > _sparse_limit(n):
+        _check_dense(n)
         # No operand here has an index: one holds at most SPARSE_SHARE of its
         # own positions, so the other would be scanned and the product fit.
-        outer = np.multiply.outer(a._values, b._values)
-        return _adopt(reg, outer.reshape(-1), None, frame)
-    (ia, va), (ib, vb) = sa, sb
-    index = ((ia << b.n_qubits)[:, None] | ib).reshape(-1)
-    return _adopt(reg, np.multiply.outer(va, vb).reshape(-1), index, frame)
-
-
-def _known_support(state: PureState, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The support index of the state's stored amplitudes φ and the
-    amplitudes at it, or φ's nonzero positions and amplitudes when it has no
-    index but is small enough to scan: at most ``SPARSE_SHARE`` of the
-    positions of an n-qubit product."""
-    if state._index is not None:
-        return state._index, state._values
-    if state.dim <= 2**n * SPARSE_SHARE:
-        index = np.flatnonzero(state._values)
-        return index, state._values[index]
-    return None
+        return n, None, np.multiply.outer(a[2], b[2]).reshape(-1)
+    return n, ((ia << b[0])[:, None] | ib).reshape(-1), np.multiply.outer(va, vb).reshape(-1)
 
 
 def approx_eq(a: PureState, b: PureState, tol: float = 1e-9) -> bool:

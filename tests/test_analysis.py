@@ -869,6 +869,80 @@ class TestFactoredPath:
         assert find_clusters(state) == find_clusters(plain)
 
 
+def _one_member_pairs(gen, count):
+    """(c, flagged, tol, relabel) cases: c a one-member factor's coefficients
+    for a generic view, a view with one column under the cutoff, quarter
+    steps, whose X-frame moduli can tie, like those of (0.6, 0.8i), or
+    moduli within the pick margin of a tie."""
+    quarters = np.arange(-4, 5) / 4
+    for i in range(count):
+        flagged, relabel = bool(gen.integers(2)), bool(gen.integers(2))
+        tol = float(gen.choice([1e-12, 1e-9, 1e-6, 1e-3]))
+        view = gen.normal(size=2) + 1j * gen.normal(size=2)
+        if i % 4 == 1:
+            j = gen.integers(2)
+            view[j] *= tol * gen.uniform(0.0, 0.9) / abs(view[j])
+        if i % 4 == 3:
+            view[1] *= abs(view[0]) / abs(view[1]) * (1 + 1e-14)
+        if i % 4 == 2:
+            view = gen.choice(quarters, size=2) + 1j * gen.choice(quarters, size=2)
+            if not view.any():
+                view = np.array([0.6, 0.8j])
+        view = view / np.linalg.norm(view)
+        yield (statevec._rotated(1, None, view, 1)[1] if flagged else view), flagged, tol, relabel
+
+
+def env_reject_state(n=18):
+    """A Z-frame GHZ over n − 2 qubits next to generic s and o, read with
+    every label rotated, as the environment check of an X measurement does."""
+    state = ghz_next_to_s_and_o(n, (0.6, 0.8j), ((0.6, 0.8j), (1, 2)))
+    return _framed(state.register, state._index, state._values, 2**n - 1)
+
+
+class TestOneMemberViews:
+    def test_closed_form_is_the_peel_of_the_view(self):
+        gen = np.random.default_rng(2000)
+        for c, flagged, tol, relabel in _one_member_pairs(gen, 2000):
+            view = statevec._rotated(1, None, c, 1)[1] if flagged else c
+            live = np.abs(view) > tol
+            idx = np.array([0, 1])[live]
+            found, left, rest = analysis._detect(("a",), idx, view[live], idx, tol, relabel)
+            factor = CorrelationCluster(("a",), tuple(c), (False,))
+            (cluster,), phase = analysis._own_view(factor, flagged, tol, relabel)
+            assert left == [] and [c.flips for c in found] == [cluster.flips] == [(False,)]
+            assert np.allclose(cluster.coefficients, found[0].coefficients, rtol=0.0, atol=1e-15)
+            assert abs(phase - complex(rest[0])) <= 1e-15
+
+    def test_a_view_with_no_column_above_the_cutoff_is_left_to_the_view_path(self):
+        # |↑⟩ read in X has moduli 2^(−1/2) ≈ 0.707, under a cutoff of 0.8
+        # that φ's columns clear
+        state = rotate_basis(tensor(product_state(("a",), [(1, 0)]), make_ghz(env_labels(5), (1, 0))), "a")
+        assert analysis._own_view(CorrelationCluster(("a",), (1 + 0j, 0j), (False,)), True, 0.8, False) is None
+        assert analysis._factored(state, 0.8, False) is None
+        with pytest.raises(ValueError, match="state has no support above the tolerance cutoff"):
+            find_clusters(state, 0.8)
+
+    def test_the_factored_path_declines_where_a_fit_test_could_matter(self):
+        # Deciding takes tol > 3·slack, far above the rounding a one-member
+        # peel errs by: at 1e-13 the factors of an env_reject state decline.
+        state = env_reject_state()
+        assert analysis._factored(state, 1e-13, False) is None
+        assert analysis._factored(state, DEFAULT_TOL, False) is not None
+
+    def test_an_env_reject_state_runs_one_detection(self, monkeypatch):
+        calls = []
+        detect = analysis._detect
+
+        def counted(*args):
+            calls.append(args[0])
+            return detect(*args)
+
+        monkeypatch.setattr(analysis, "_detect", counted)
+        state = env_reject_state()
+        assert set(env_labels(16)) == set(find_clusters(state).residual)
+        assert calls == [state.register.labels]
+
+
 # Cluster detection on a full support: every one of the 2^n positions is a
 # column, and the member halves come from a reshape view.
 

@@ -13,14 +13,14 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qmeasure import gates, statevec
 from qmeasure.analysis import find_clusters
 from qmeasure.oracle import oracle_apply
 from qmeasure.protocol import ObserverNotReadyError, check_ready
-from qmeasure.runner import run
+from qmeasure.runner import RunError, _initial_state, run
 from qmeasure.scenario import parse_scenario
 from qmeasure.gates import (
     Imprint,
@@ -41,7 +41,7 @@ from qmeasure.statevec import (
     tensor,
 )
 
-from conftest import assert_unchanged
+from conftest import assert_unchanged, random_pair
 
 
 def check_index(state: PureState) -> None:
@@ -483,13 +483,120 @@ def test_z_corrected_measurement_stays_sparse(monkeypatch):
         patch.setattr(statevec, "_adopt", recording)
         patch.setattr(gates, "_adopt", recording)
         sparse = run(parse_scenario(text)).render_text()
-        # the initial state, one state per gate, and the GHZ part; only the
-        # two-qubit s⊗o part is dense
+        # the initial state and one state per gate
         full = [s for s in states if s.n_qubits == 20]
         assert len(full) == 5
         assert all(s._index is not None for s in states if s.n_qubits > 2)
     monkeypatch.setattr(statevec, "SPARSE_SHARE", 0.0)
     assert run(parse_scenario(text)).render_text() == sparse
+
+
+#: Single-qubit declarations, as [re, im] pairs: a generic pair drawn from
+#: the seed, ↑, ↓, → and a pair with signed zeros, which a product times 1
+#: can flip.  GHZ declarations: a size and generic coefficients, or a zero
+#: one.
+SINGLES = st.sampled_from(
+    ["generic", [[1, 0], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [1, 0]], [[-0.0, -0.6], [0.8, -0.0]]]
+)
+GHZS = st.tuples(st.integers(1, 40), st.sampled_from(["generic", "down only", "up only"]))
+
+
+def _declared_doc(kinds, seed):
+    """The subsystems of a scenario with the drawn declarations, skipping
+    those that would take it past 63 qubits."""
+    rng = np.random.default_rng(seed)
+    subsystems, n = [], 0
+
+    def generic():
+        return [[c.real, c.imag] for c in random_pair(rng, 0.1)]
+
+    for i, kind in enumerate(kinds):
+        size = kind[0] if isinstance(kind, tuple) else 1
+        if n + size > 63:
+            continue
+        n += size
+        if isinstance(kind, tuple):
+            pair = {"generic": generic(), "down only": [[0, 0], [0.6, 0.8]], "up only": [[1, -1], [0, 0]]}[kind[1]]
+            subsystems.append({"ghz": {"labels": [f"g{i}_{j}" for j in range(size)], "coefficients": pair}})
+        else:
+            subsystems.append({"label": f"q{i}", "amplitudes": generic() if kind == "generic" else kind})
+    return {"subsystems": subsystems}
+
+
+def _chained(declarations):
+    """``tensor`` chained over the declared states, or the number of the
+    declaration whose state or product failed and its error."""
+    state = None
+    for i, decl in enumerate(declarations):
+        try:
+            if hasattr(decl, "label"):
+                part = product_state((decl.label,), [decl.amplitudes])
+            else:
+                part = make_ghz(decl.labels, decl.coefficients)
+            state = part if state is None else tensor(state, part)
+        except ValueError as exc:
+            return None, (i, exc)
+    return state, None
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    kinds=st.lists(SINGLES | GHZS, min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+    dense_max=st.sampled_from([24, 10, 6]),
+)
+# a dense prefix scanned against a wide GHZ, which keeps the product indexed
+@example(kinds=["generic"] * 5 + [(30, "generic")], seed=0, dense_max=24)
+# |→⟩ qubits after a 33-qubit GHZ, whose index outgrows the share: refused
+@example(kinds=[(33, "generic")] + [[[1, 0], [1, 0]]] * 7, seed=0, dense_max=10)
+# a dense product past the limit, and a GHZ whose own vector is past it
+@example(kinds=["generic"] * 7, seed=0, dense_max=6)
+@example(kinds=[(2, "generic"), (4, "up only")], seed=0, dense_max=3)
+def test_declared_state_is_the_chain_of_tensor_calls(monkeypatch, kinds, seed, dense_max):
+    # The runner builds the declared state in one fold over the declarations'
+    # stored amplitudes; it must store what the chain of declared states and
+    # tensor calls stores, bit for bit, or fail at the same declaration with
+    # the same error.  No dense vector is scattered from an index but a GHZ
+    # part's own, over at most 4 qubits, and only one state is made.
+    scenario = parse_scenario(json.dumps(_declared_doc(kinds, seed)))
+    scatter = statevec._scatter
+
+    def small_scatter(n, index, values):
+        assert n <= 4, f"dense vector over {n} qubits built from an index"
+        return scatter(n, index, values)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(statevec, "DENSE_MAX_QUBITS", dense_max)
+        patch.setattr(statevec, "_scatter", small_scatter)
+        want, failed = _chained(scenario.declarations)
+        calls = {"parts": 0, "adopt": 0, "register": 0}
+
+        def counted(key, fn):
+            def spy(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return spy
+
+        for name in ("_single_part", "_ghz_part"):
+            patch.setattr(statevec, name, counted("parts", getattr(statevec, name)))
+        patch.setattr(statevec, "_adopt", counted("adopt", statevec._adopt))
+        patch.setattr(Register, "__post_init__", counted("register", Register.__post_init__))
+        try:
+            got = _initial_state(scenario)
+        except RunError as err:
+            assert failed is not None, err
+            at, exc = failed
+            assert calls["parts"] - 1 == at and err.step_number == 0
+            assert type(err.cause) is type(exc) and str(err.cause) == str(exc)
+            return
+    assert failed is None, failed
+    assert (calls["adopt"], calls["register"]) == (1, 0)
+    assert got.register == want.register and got._frame == want._frame == 0
+    assert (got._index is None) == (want._index is None)
+    if got._index is not None:
+        assert got._index.tobytes() == want._index.tobytes()
+    assert got._values.tobytes() == want._values.tobytes()
 
 
 def test_z_corrected_measurement_beyond_dense_memory(no_dense_builds):
