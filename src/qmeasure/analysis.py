@@ -273,12 +273,12 @@ def _own_view(
         return None if left else (found, complex(rest[0]))
     if flagged:
         _rotate_axis(c, 0)
-    c[np.abs(c) <= tol] = 0
-    a_up, a_down = np.abs(c).tolist()
+    c_up, c_down = (z if abs(z) > tol else 0j for z in c.tolist())
+    a_up, a_down = abs(c_up), abs(c_down)
     if not a_up + a_down:
         return None
-    r = complex(c[1] / a_down if a_down > a_up * (1.0 + _PICK_MARGIN) else c[0] / a_up)
-    return [CorrelationCluster(factor.members, tuple(map(complex, r.conjugate() * c)), (False,))], r
+    r = c_down / a_down if a_down > a_up * (1.0 + _PICK_MARGIN) else c_up / a_up
+    return [CorrelationCluster(factor.members, (r.conjugate() * c_up, r.conjugate() * c_down), (False,))], r
 
 
 def _factored(
