@@ -893,9 +893,9 @@ def _one_member_pairs(gen, count):
 
 
 def env_reject_state(n=18):
-    """A Z-frame GHZ over n − 2 qubits next to generic s and o, read with
-    every label rotated, as the environment check of an X measurement does."""
-    state = ghz_next_to_s_and_o(n, (0.6, 0.8j), ((0.6, 0.8j), (1, 2)))
+    """A Z-frame GHZ over n − 2 qubits next to s and o, read with every
+    label rotated, as the environment check of an X measurement reads it."""
+    state = ghz_next_to_s_and_o(n, (0.6, 0.8j))
     return _framed(state.register, state._index, state._values, 2**n - 1)
 
 

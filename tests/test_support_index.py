@@ -21,7 +21,7 @@ from qmeasure.analysis import find_clusters
 from qmeasure.oracle import oracle_apply
 from qmeasure.protocol import ObserverNotReadyError, check_ready
 from qmeasure.runner import RunError, _initial_state, run
-from qmeasure.scenario import parse_scenario
+from qmeasure.scenario import SingleDecl, parse_scenario
 from qmeasure.gates import (
     Imprint,
     imprint,
@@ -529,7 +529,7 @@ def _chained(declarations):
     state = None
     for i, decl in enumerate(declarations):
         try:
-            if hasattr(decl, "label"):
+            if isinstance(decl, SingleDecl):
                 part = product_state((decl.label,), [decl.amplitudes])
             else:
                 part = make_ghz(decl.labels, decl.coefficients)
