@@ -858,17 +858,23 @@ class TestCliProcess:
         result = self.run_cli("run", str(SCENARIOS / "basic_measurement.json"), "--tol", "2")
         assert result.returncode == 1
 
-    def test_a_tol_above_every_amplitude_fails_its_ledger_step(self, tmp_path):
+    # A tol above every amplitude of the Z view the ledger reads: above every
+    # stored one too, or only above |↑⟩ read in X (2^(−1/2)), where the
+    # stored amplitudes clear it.
+    @pytest.mark.parametrize("subsystems, target, tol", [
+        ([{"label": "s", "amplitudes": [[1, 0], [1, 0]]},
+          {"label": "o", "amplitudes": [[1, 0], [1, 0]]},
+          {"ghz": {"labels": ["e1", "e2", "e3"], "coefficients": [[1, 0], [1, 0]]}}], "e1", "0.6"),
+        ([{"label": "a", "amplitudes": [[1, 0], [0, 0]]},
+          {"ghz": {"labels": ["b", "c", "d", "e", "f"], "coefficients": [[1, 0], [0, 0]]}}], "a", "0.8"),
+    ], ids=["every_stored_amplitude", "the_view_of_a_flagged_singleton"])
+    def test_a_tol_above_every_amplitude_fails_its_ledger_step(self, tmp_path, subsystems, target, tol):
         path = tmp_path / "tol.json"
         path.write_text(json.dumps({
-            "subsystems": [
-                {"label": "s", "amplitudes": [[1, 0], [1, 0]]},
-                {"label": "o", "amplitudes": [[1, 0], [1, 0]]},
-                {"ghz": {"labels": ["e1", "e2", "e3"], "coefficients": [[1, 0], [1, 0]]}},
-            ],
-            "script": [{"op": "rotate_basis", "target": "e1"}, {"op": "ledger", "tag": "t"}],
+            "subsystems": subsystems,
+            "script": [{"op": "rotate_basis", "target": target}, {"op": "ledger", "tag": "t"}],
         }))
-        result = self.run_cli("run", str(path), "--tol", "0.6")
+        result = self.run_cli("run", str(path), "--tol", tol)
         assert result.returncode == 2
         assert "step 2 (LedgerStep): state has no support above the tolerance cutoff" in result.stderr
         assert "Traceback" not in result.stderr
