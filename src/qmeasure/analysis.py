@@ -260,25 +260,25 @@ def _detect(
 
 
 def _own_view(
-    factor: CorrelationCluster, flagged: bool, tol: float, allow_relabeling: bool
+    factor: CorrelationCluster, flagged: bool, tol: float
 ) -> tuple[list[CorrelationCluster], complex] | None:
-    """The clusters and leftover phase of the view of a factor of φ, or None
-    where it has a residual or nothing above the cutoff.  One member is read
-    in closed form, as ``_peel`` reads it but with no fit test (``_factored``)."""
-    m, c = factor.size, np.array(factor.coefficients)
-    if m > 1:
-        up, live = sum(int(f) << (m - 1 - j) for j, f in enumerate(factor.flips)), np.abs(c) > tol
-        index = np.array([up, (1 << m) - 1 - up])[live]
-        found, left, rest = _detect(factor.members, index, c[live], index, tol, allow_relabeling)
-        return None if left else (found, complex(rest[0]))
-    if flagged:
+    """The clusters and leftover phase of the view of a factor of φ, at most
+    two positions, or None where nothing is above the cutoff: in closed form,
+    as ``_detect`` reads it but with no fit test (``_factored``), the factor
+    for two live coefficients, its members as constant singletons for one."""
+    c = np.array(factor.coefficients)
+    if flagged:  # a flagged singleton
         _rotate_axis(c, 0)
     c_up, c_down = (z if abs(z) > tol else 0j for z in c.tolist())
     a_up, a_down = abs(c_up), abs(c_down)
     if not a_up + a_down:
         return None
     r = c_down / a_down if a_down > a_up * (1.0 + _PICK_MARGIN) else c_up / a_up
-    return [CorrelationCluster(factor.members, (r.conjugate() * c_up, r.conjugate() * c_down), (False,))], r
+    if a_up and a_down:
+        return [replace(factor, coefficients=(r.conjugate() * c_up, r.conjugate() * c_down))], r
+    weights = [r.conjugate() * (c_up or c_down)] + [1 + 0j] * (factor.size - 1)
+    return [CorrelationCluster((member,), (0j, w) if flip ^ bool(a_down) else (w, 0j), (False,))
+            for member, flip, w in zip(factor.members, factor.flips, weights)], r
 
 
 def _factored(
@@ -313,7 +313,7 @@ def _factored(
             schmidt = min(schmidt, np.abs(u).min())
             residual += factor.members
             continue
-        viewed = _own_view(factor, bool(k), tol, allow_relabeling)
+        viewed = _own_view(factor, bool(k), tol)
         if viewed is None:
             return None
         clusters += viewed[0]
@@ -364,7 +364,7 @@ def find_clusters(
     flagged member, whose halves overlap by |p − q|, by √(2pq) ≥ s.  Such a
     factor goes to the residual when s clears the peel's reject bound by a
     rounding margin; the others are peeled on their own views of at most
-    two positions, a one-member view in closed form.  The view decides that
+    two positions, each in closed form.  The view decides that
     Bell pair, an s within the bound, a φ with a residual, and a view whose
     smallest nonzero modulus, the product of the factors' closed-form minima,
     does not clear the cutoff by that margin.  The clusters are the view's
@@ -389,11 +389,8 @@ def cluster_measure(cluster: CorrelationCluster, tol: float = DEFAULT_TOL) -> in
     """Correlation units carried by a cluster.
 
     A cluster of m subsystems with two live coefficients carries m − 1;
-    a single live coefficient is a product state and carries nothing, as
-    does any one-member cluster.
+    a single live coefficient is a product state and carries nothing.
     """
-    if cluster.size == 1:
-        return 0
     live = sum(1 for c in cluster.coefficients if abs(c) > tol)
     return cluster.size - 1 if live >= 2 else 0
 

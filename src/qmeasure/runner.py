@@ -108,23 +108,23 @@ def fmt(value: float) -> str:
     """12-significant-digit number formatting with -0 and noise collapsed to 0."""
     if abs(value) < PRUNE_TOL:
         return "0"
-    text = f"{value:.12g}"
-    return "0" if text in ("-0", "-0.0") else text
+    return f"{value:.12g}"
 
 
 def _initial_state(scenario: Scenario) -> PureState:
     """The declared state, stored as ``tensor`` chained over the declared
-    states would store it, in one fold of the product rule over their stored
-    amplitudes on the parser's register, with one norm check at the end."""
+    states would store it: one fold of the product rule over their GHZ parts
+    (one member for a single qubit), with one norm check at the end."""
     product: tuple | None = None
     for decl in scenario.declarations:
         try:
             if isinstance(decl, SingleDecl):
-                part = statevec._single_part(decl.label, decl.amplitudes)
+                m, pair, what = 1, decl.amplitudes, f"amplitude pair for {decl.label!r}"
             elif isinstance(decl, GhzDecl):
-                part = statevec._ghz_part(len(decl.labels), decl.coefficients)
+                m, pair, what = len(decl.labels), decl.coefficients, "GHZ coefficient vector"
             else:
                 raise TypeError(f"unknown declaration {decl!r}")
+            part = statevec._ghz_part(m, statevec._normalized_pair(pair, what))
             product = part if product is None else statevec._product(product, part)
         except ValueError as exc:
             raise RunError(0, decl, exc) from exc

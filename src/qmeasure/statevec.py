@@ -17,8 +17,9 @@ Conventions used throughout the package:
   validates that the 2-norm is 1 within ``NORM_TOL`` and refuses
   states that drifted further than that.
 
-Sparse states hold only their support.  A state built by
-:func:`make_ghz`, :func:`tensor` or a permutation gate (imprint, inverse
+Builders store products of GHZ parts, a single qubit as a one-member part,
+by one product rule.  Sparse states hold only their support: a state built
+by :func:`make_ghz`, :func:`tensor` or a permutation gate (imprint, inverse
 imprint, swap) on such a state keeps a private support index: sorted,
 unique int64 positions, and the amplitudes at them, outside which every
 amplitude is exactly 0.  That pair is the state's source of truth; it is
@@ -374,18 +375,20 @@ def product_state(
     """Tensor product of single-qubit states, one (up, down) amplitude pair per label.
 
     Each pair is normalized individually, so unnormalized coefficient pairs
-    are accepted.
+    are accepted.  Each qubit is a one-member GHZ part of the one product rule.
     """
     reg = as_register(register)
     if len(per_qubit) != len(reg):
         raise ValueError(
             f"got {len(per_qubit)} amplitude pairs for {len(reg)} register labels"
         )
-    _check_dense(len(reg))
-    vec = np.ones(1, dtype=np.complex128)
+    _check_dense(len(reg))  # the fold stays dense: refused before it allocates
+    product: tuple | None = None
     for label, pair in zip(reg.labels, per_qubit):
-        vec = np.kron(vec, _normalized_pair(pair, f"amplitude pair for {label!r}"))
-    return PureState(reg, vec)
+        part = _ghz_part(1, _normalized_pair(pair, f"amplitude pair for {label!r}"))
+        product = part if product is None else _product(product, part)
+    _, index, values = product
+    return _adopt(reg, values, index)
 
 
 def basis_state(register: "Register | Iterable[str]", symbols: str) -> PureState:
@@ -416,23 +419,20 @@ def make_ghz(
     reg = as_register(labels)
     if len(coefficients) != 2:
         raise ValueError("make_ghz takes exactly two coefficients (qubit registers)")
-    _, index, values = _ghz_part(len(reg), coefficients)
+    _, index, values = _ghz_part(len(reg), _normalized_pair(coefficients, "GHZ coefficient vector"))
     return _adopt(reg, values, index)
 
 
-def _single_part(label: str, pair: Sequence[complex]) -> tuple:
-    """What :func:`product_state` stores for one label: its normalized pair
-    times 1, as by ``np.kron``, which sets the sign of some zeros."""
-    return 1, None, _normalized_pair(pair, f"amplitude pair for {label!r}") * (1 + 0j)
-
-
-def _ghz_part(m: int, coefficients: Sequence[complex]) -> tuple:
-    """What :func:`make_ghz` stores over m labels."""
-    coeffs = _normalized_pair(coefficients, "GHZ coefficient vector")
-    index = np.array([0, 2**m - 1], dtype=np.int64)
-    if index.size > _sparse_limit(m):
-        return m, None, _scatter(m, index, coeffs)
-    return m, index, coeffs
+def _ghz_part(m: int, coeffs: np.ndarray) -> tuple:
+    """What :func:`make_ghz` stores over m labels, and :func:`product_state`
+    for one qubit (m = 1), from normalized coefficients: the all-↑/all-↓
+    index, or the dense vector where that exceeds the share (m ≤ 4)."""
+    if 2 > _sparse_limit(m):
+        _check_dense(m)
+        values = np.zeros(2**m, dtype=np.complex128)
+        values[[0, -1]] = coeffs
+        return m, None, values
+    return m, np.array([0, 2**m - 1], dtype=np.int64), coeffs
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
@@ -448,9 +448,9 @@ def tensor(a: PureState, b: PureState) -> PureState:
 
 def _product(a: tuple, b: tuple) -> tuple:
     """The stored amplitudes of a ⊗ b, each part (qubits, index or None, values)
-    as a state stores them: the one product rule, of :func:`tensor` and the
-    runner's declared state.  A part with no index is scanned when it holds at
-    most ``SPARSE_SHARE`` of the product's positions (module docstring)."""
+    as a state stores them: the one product rule, of :func:`tensor`,
+    :func:`product_state` and the runner's declared state.  A part with no
+    index is scanned when it holds at most ``SPARSE_SHARE`` of the product's positions."""
     n, known = a[0] + b[0], []
     for width, index, values in (a, b):
         if index is None and 2**width <= 2**n * SPARSE_SHARE:

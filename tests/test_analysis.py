@@ -892,6 +892,33 @@ def _one_member_pairs(gen, count):
         yield (statevec._rotated(1, None, view, 1)[1] if flagged else view), flagged, tol, relabel
 
 
+def _multi_member_factors(gen, count):
+    """(factor, tol, relabel) cases: an unflagged factor of m = 2…6
+    members, random flips in relabeling mode, and in every third draw one
+    coefficient under the cutoff."""
+    for i in range(count):
+        m, relabel = int(gen.integers(2, 7)), bool(gen.integers(2))
+        tol = float(gen.choice([1e-12, 1e-9, 1e-6, 1e-3]))
+        c = gen.normal(size=2) + 1j * gen.normal(size=2)
+        c /= np.linalg.norm(c)
+        if i % 3 == 1:
+            j = gen.integers(2)
+            c[j] *= tol * gen.uniform(0.0, 0.9) / abs(c[j])
+        flips = (False, *(relabel and bool(f) for f in gen.integers(2, size=m - 1)))
+        yield CorrelationCluster(tuple(f"m{j}" for j in range(m)), tuple(c.tolist()), flips), tol, relabel
+
+
+def _peel_of_the_view(factor, flagged, tol, relabel):
+    """``_detect`` on the factor's own view: its two positions, those above
+    the cutoff."""
+    m, c = factor.size, np.array(factor.coefficients)
+    view = statevec._rotated(1, None, c, 1)[1] if flagged else c
+    up = sum(int(f) << (m - 1 - j) for j, f in enumerate(factor.flips))
+    live = np.abs(view) > tol
+    idx = np.array([up, (1 << m) - 1 - up])[live]
+    return analysis._detect(factor.members, idx, view[live], idx, tol, relabel)
+
+
 def env_reject_state(n=18):
     """A Z-frame GHZ over n − 2 qubits next to s and o, read with every
     label rotated, as the environment check of an X measurement reads it."""
@@ -902,22 +929,27 @@ def env_reject_state(n=18):
 class TestOneMemberViews:
     def test_closed_form_is_the_peel_of_the_view(self):
         gen = np.random.default_rng(2000)
-        for c, flagged, tol, relabel in _one_member_pairs(gen, 2000):
-            view = statevec._rotated(1, None, c, 1)[1] if flagged else c
-            live = np.abs(view) > tol
-            idx = np.array([0, 1])[live]
-            found, left, rest = analysis._detect(("a",), idx, view[live], idx, tol, relabel)
-            factor = CorrelationCluster(("a",), tuple(c), (False,))
-            (cluster,), phase = analysis._own_view(factor, flagged, tol, relabel)
-            assert left == [] and [c.flips for c in found] == [cluster.flips] == [(False,)]
-            assert np.allclose(cluster.coefficients, found[0].coefficients, rtol=0.0, atol=1e-15)
+        singles = (
+            (CorrelationCluster(("a",), tuple(c), (False,)), flagged, tol, relabel)
+            for c, flagged, tol, relabel in _one_member_pairs(gen, 2000)
+        )
+        factors = ((factor, False, tol, relabel) for factor, tol, relabel in _multi_member_factors(gen, 3000))
+        for factor, flagged, tol, relabel in (*singles, *factors):
+            found, left, rest = _peel_of_the_view(factor, flagged, tol, relabel)
+            clusters, phase = analysis._own_view(factor, flagged, tol)
+            assert left == []
+            assert [(c.members, c.flips) for c in clusters] == [(c.members, c.flips) for c in found]
+            live = sum(abs(z) > tol for z in found[0].coefficients)
+            assert len(clusters) == (1 if live == 2 else factor.size)
+            for got, want in zip(clusters, found):
+                assert np.allclose(got.coefficients, want.coefficients, rtol=0.0, atol=1e-15)
             assert abs(phase - complex(rest[0])) <= 1e-15
 
     def test_a_view_with_no_column_above_the_cutoff_is_left_to_the_view_path(self):
         # |↑⟩ read in X has moduli 2^(−1/2) ≈ 0.707, under a cutoff of 0.8
         # that φ's columns clear
         state = rotate_basis(tensor(product_state(("a",), [(1, 0)]), make_ghz(env_labels(5), (1, 0))), "a")
-        assert analysis._own_view(CorrelationCluster(("a",), (1 + 0j, 0j), (False,)), True, 0.8, False) is None
+        assert analysis._own_view(CorrelationCluster(("a",), (1 + 0j, 0j), (False,)), True, 0.8) is None
         assert analysis._factored(state, 0.8, False) is None
         with pytest.raises(ValueError, match="state has no support above the tolerance cutoff"):
             find_clusters(state, 0.8)

@@ -854,9 +854,12 @@ class TestCliProcess:
         runs = [self.run_cli("run", str(SCENARIOS / "record_recovery.json")).stdout for _ in range(2)]
         assert runs[0] == runs[1]
 
-    def test_tol_flag_override(self, tmp_path):
-        result = self.run_cli("run", str(SCENARIOS / "basic_measurement.json"), "--tol", "2")
+    @pytest.mark.parametrize("tol, shown", [("2", "2.0"), ("0", "0.0"), ("nan", "nan"), ("inf", "inf")])
+    def test_tol_flag_override(self, tmp_path, tol, shown):
+        result = self.run_cli("run", str(SCENARIOS / "basic_measurement.json"), "--tol", tol)
         assert result.returncode == 1
+        assert f"[bad-structure] --tol must be in (0, 1), got {shown}" in result.stderr
+        assert "Traceback" not in result.stderr
 
     # A tol above every amplitude of the Z view the ledger reads: above every
     # stored one too, or only above |↑⟩ read in X (2^(−1/2)), where the

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -312,8 +314,14 @@ class TestSizeLimits:
     def test_dense_builders_check_before_allocating(self):
         n = DENSE_MAX_QUBITS + 1
         assert issubclass(DenseLimitError, ValueError)
-        with pytest.raises(DenseLimitError, match=f"over {n} qubits"):
-            product_state(labels(n), [(1, 1)] * n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseLimitError, match=f"over {n} qubits"):
+                product_state(labels(n), [(1, 1)] * n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"{peak} bytes allocated before the refusal"
         with pytest.raises(DenseLimitError, match=f"over {n} qubits"):
             from_branches(BranchSet(Register(labels(n)), ("Z",) * n, np.array([0]), np.array([1 + 0j])))
 

@@ -556,18 +556,17 @@ def test_declared_state_is_the_chain_of_tensor_calls(monkeypatch, kinds, seed, d
     # The runner builds the declared state in one fold over the declarations'
     # stored amplitudes; it must store what the chain of declared states and
     # tensor calls stores, bit for bit, or fail at the same declaration with
-    # the same error.  No dense vector is scattered from an index but a GHZ
-    # part's own, over at most 4 qubits, and only one state is made.
+    # the same error.  Every declaration is one GHZ part, a single qubit a
+    # one-member one; no dense vector is scattered from an index, and only
+    # one state is made.
     scenario = parse_scenario(json.dumps(_declared_doc(kinds, seed)))
-    scatter = statevec._scatter
 
-    def small_scatter(n, index, values):
-        assert n <= 4, f"dense vector over {n} qubits built from an index"
-        return scatter(n, index, values)
+    def refuse(n, index, values):
+        raise AssertionError(f"dense vector over {n} qubits built from an index")
 
     with monkeypatch.context() as patch:
         patch.setattr(statevec, "DENSE_MAX_QUBITS", dense_max)
-        patch.setattr(statevec, "_scatter", small_scatter)
+        patch.setattr(statevec, "_scatter", refuse)
         want, failed = _chained(scenario.declarations)
         calls = {"parts": 0, "adopt": 0, "register": 0}
 
@@ -578,8 +577,7 @@ def test_declared_state_is_the_chain_of_tensor_calls(monkeypatch, kinds, seed, d
 
             return spy
 
-        for name in ("_single_part", "_ghz_part"):
-            patch.setattr(statevec, name, counted("parts", getattr(statevec, name)))
+        patch.setattr(statevec, "_ghz_part", counted("parts", statevec._ghz_part))
         patch.setattr(statevec, "_adopt", counted("adopt", statevec._adopt))
         patch.setattr(Register, "__post_init__", counted("register", Register.__post_init__))
         try:
