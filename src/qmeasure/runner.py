@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -113,9 +114,9 @@ def fmt(value: float) -> str:
 
 def _initial_state(scenario: Scenario) -> PureState:
     """The declared state, stored as ``tensor`` chained over the declared
-    states would store it: one fold of the product rule over their GHZ parts
-    (one member for a single qubit), with one norm check at the end."""
-    product: tuple | None = None
+    states would store it: each GHZ part (one member for a single qubit)
+    counted against the limits, then one product-rule fold and norm check."""
+    parts, width, size = [], 0, 1
     for decl in scenario.declarations:
         try:
             if isinstance(decl, SingleDecl):
@@ -124,12 +125,13 @@ def _initial_state(scenario: Scenario) -> PureState:
                 m, pair, what = len(decl.labels), decl.coefficients, "GHZ coefficient vector"
             else:
                 raise TypeError(f"unknown declaration {decl!r}")
-            part = statevec._ghz_part(m, statevec._normalized_pair(pair, what))
-            product = part if product is None else statevec._product(product, part)
+            parts.append(statevec._ghz_part(m, statevec._normalized_pair(pair, what)))
+            width, size = width + m, size * statevec._support_size(parts[-1])
+            if size > statevec._sparse_limit(width):
+                statevec._check_dense(width)
         except ValueError as exc:
             raise RunError(0, decl, exc) from exc
-    assert product is not None
-    _, index, values = product
+    _, index, values = reduce(statevec._product, parts)
     return statevec._adopt(scenario.register, values, index)
 
 

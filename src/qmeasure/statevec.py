@@ -22,12 +22,12 @@ by one product rule.  Sparse states hold only their support: a state built
 by :func:`make_ghz`, :func:`tensor` or a permutation gate (imprint, inverse
 imprint, swap) on such a state keeps a private support index: sorted,
 unique int64 positions, and the amplitudes at them, outside which every
-amplitude is exactly 0.  That pair is the state's source of truth; it is
-kept only while it lists at most 2^n · ``SPARSE_SHARE`` positions, the share
-below which moving the indexed amplitudes beats a strided pass (the
-crossover lies near 1/8 at n = 20), and never more than that share of
-2^``DENSE_MAX_QUBITS`` (2^20): over more qubits, where no dense vector can
-take over, a larger index is refused as the dense vector would be.
+amplitude is exactly 0.  That pair is the state's source of truth; a built
+product is indexed exactly when its support fits 2^n · ``SPARSE_SHARE``
+positions, the share below which moving the indexed amplitudes beats a
+strided pass, and never more than that share of 2^``DENSE_MAX_QUBITS``
+(2^20): over more qubits, where no dense vector can take over, a larger
+index is refused as the dense vector would be.
 
 Every state also carries a per-qubit basis frame, a bitmask with the bit
 order of the amplitude index: the state is H^frame · φ, where H is the
@@ -49,8 +49,9 @@ qubits is built; asking for one raises :class:`DenseLimitError`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import FrozenInstanceError, dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -374,20 +375,19 @@ def product_state(
 ) -> PureState:
     """Tensor product of single-qubit states, one (up, down) amplitude pair per label.
 
-    Each pair is normalized individually, so unnormalized coefficient pairs
-    are accepted.  Each qubit is a one-member GHZ part of the one product rule.
+    Each pair is normalized on its own and is a one-member GHZ part of the one
+    product rule; a dense product past the limit is refused before the fold.
     """
     reg = as_register(register)
     if len(per_qubit) != len(reg):
         raise ValueError(
             f"got {len(per_qubit)} amplitude pairs for {len(reg)} register labels"
         )
-    _check_dense(len(reg))  # the fold stays dense: refused before it allocates
-    product: tuple | None = None
-    for label, pair in zip(reg.labels, per_qubit):
-        part = _ghz_part(1, _normalized_pair(pair, f"amplitude pair for {label!r}"))
-        product = part if product is None else _product(product, part)
-    _, index, values = product
+    parts = [_ghz_part(1, _normalized_pair(pair, f"amplitude pair for {label!r}"))
+             for label, pair in zip(reg.labels, per_qubit)]
+    if math.prod(map(_support_size, parts)) > _sparse_limit(len(reg)):
+        _check_dense(len(reg))
+    _, index, values = reduce(_product, parts)
     return _adopt(reg, values, index)
 
 
@@ -446,23 +446,26 @@ def tensor(a: PureState, b: PureState) -> PureState:
     return _adopt(reg, values, index, frame)
 
 
+def _support_size(part: tuple) -> int:
+    """Positions a part holds: its index's length, or its nonzero count."""
+    return np.count_nonzero(part[2]) if part[1] is None else part[1].size
+
+
 def _product(a: tuple, b: tuple) -> tuple:
     """The stored amplitudes of a ⊗ b, each part (qubits, index or None, values)
     as a state stores them: the one product rule, of :func:`tensor`,
-    :func:`product_state` and the runner's declared state.  A part with no
-    index is scanned when it holds at most ``SPARSE_SHARE`` of the product's positions."""
+    :func:`product_state` and the runner's declared state: indexed exactly when
+    the parts' support sizes multiply to at most :func:`_sparse_limit`."""
     n, known = a[0] + b[0], []
-    for width, index, values in (a, b):
-        if index is None and 2**width <= 2**n * SPARSE_SHARE:
+    if _support_size(a) * _support_size(b) > _sparse_limit(n):
+        _check_dense(n)
+        return n, None, np.multiply.outer(a[2], b[2]).reshape(-1)
+    for _, index, values in (a, b):
+        if index is None:
             index = np.flatnonzero(values)
             values = values[index]
         known.append((index, values))
     (ia, va), (ib, vb) = known
-    if ia is None or ib is None or ia.size * ib.size > _sparse_limit(n):
-        _check_dense(n)
-        # No operand here has an index: one holds at most SPARSE_SHARE of its
-        # own positions, so the other would be scanned and the product fit.
-        return n, None, np.multiply.outer(a[2], b[2]).reshape(-1)
     return n, ((ia << b[0])[:, None] | ib).reshape(-1), np.multiply.outer(va, vb).reshape(-1)
 
 

@@ -475,7 +475,6 @@ class TestSizeLimits:
         assert isinstance(err.value.cause, DenseLimitError)
 
     def test_initial_state_beyond_the_limit_is_a_run_error(self, monkeypatch):
-        # At the real limit this path first builds a 2^24 dense vector.
         monkeypatch.setattr(statevec, "DENSE_MAX_QUBITS", 3)
         doc = {"subsystems": [
             {"label": f"q{i}", "amplitudes": [[1, 0], [1, 0]]} for i in range(4)
@@ -484,6 +483,24 @@ class TestSizeLimits:
             run(parse_scenario(json.dumps(doc)))
         assert err.value.step_number == 0
         assert isinstance(err.value.cause, DenseLimitError)
+
+    def test_initial_state_beyond_the_real_limit_is_refused_before_the_fold(self):
+        # 25 |→⟩ qubits: the dense product past 24 qubits is refused at the
+        # 25th declaration from the parts' support sizes, before the 2^24
+        # prefix (256 MiB) is built.
+        scenario = parse_scenario(json.dumps({"subsystems": [
+            {"label": f"q{i}", "amplitudes": RIGHT} for i in range(25)
+        ]}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(RunError, match=r"^initial state \(SingleDecl\): .*over 25 qubits") as err:
+                run(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.step_number == 0
+        assert isinstance(err.value.cause, DenseLimitError)
+        assert peak < 2**20, f"{peak} bytes traced"
 
     def test_cli_exit_codes(self, tmp_path, capsys):
         too_many = tmp_path / "too_many.json"

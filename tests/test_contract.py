@@ -3,7 +3,9 @@
 Any document either parses and runs to a report or ends in a coded
 ``ScenarioError``/``RunError``; and the strided engine and the dense-matrix
 oracle give the same report (same sections, rows, symbols and errors,
-numbers within 1e-10) on random scenarios of up to 8 qubits.
+numbers within 1e-10) on random scenarios of up to 8 qubits.  The public
+constructors and procedures refuse bad arguments with a ValueError and a
+fixed message.
 """
 from __future__ import annotations
 
@@ -11,11 +13,15 @@ import json
 import re
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qmeasure.analysis import CorrelationCluster
+from qmeasure.protocol import MeasurementOutcomeSpec, check_ready, ideal_measure, ideal_script
 from qmeasure.runner import RunError, run
 from qmeasure.scenario import ScenarioError, parse_scenario
+from qmeasure.statevec import Register, basis_state, normalize_basis, product_state
 
 from conftest import HOSTILE_INPUTS
 
@@ -234,3 +240,38 @@ def test_gates_and_oracle_engines_agree(seed):
             assert len(row) == len(other) and all(
                 same_up_to_numbers(x, y) for x, y in zip(row, other)
             ), (ours.title, row, other)
+
+
+SO = product_state(["s", "o"], [(1, 0), (1, 0)])
+MINIMAL = json.dumps({"subsystems": [{"label": "s", "amplitudes": [[1, 0], [0, 0]]}]})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CorrelationCluster((), (1, 0), ()), "cluster needs at least one member"),
+    (lambda: CorrelationCluster(("a", "b"), (1, 0), (False,)), "one flip flag per member required"),
+    (lambda: CorrelationCluster(("a", "b"), (1, 0), (True, False)),
+     "the first cluster member is the flip reference"),
+    (lambda: CorrelationCluster(("a",), (0, 0), (False,)), "cluster coefficients must not both vanish"),
+    (lambda: MeasurementOutcomeSpec("s", "o", ()), "environment label list must not be empty"),
+    (lambda: MeasurementOutcomeSpec("s", "o", ("e",), "Y"), "basis must be 'Z' or 'X', got 'Y'"),
+    (lambda: ideal_script("s", "o", "Y"), "basis must be 'Z' or 'X', got 'Y'"),
+    (lambda: check_ready(SO, "o", "Y"), "basis must be 'Z' or 'X', got 'Y'"),
+    (lambda: ideal_measure(SO, "s", "s", "Z"), "signal and observer must be distinct"),
+    (lambda: normalize_basis("Y", Register(("s",))), "basis selector must be 'Z' or 'X', got 'Y'"),
+    (lambda: normalize_basis({"s": "Y"}, Register(("s",))),
+     "basis selector for 's' must be 'Z' or 'X', got 'Y'"),
+    (lambda: product_state(["a"], [(float("nan"), 0)]), "amplitude pair for 'a' must be finite"),
+    (lambda: basis_state(["a", "b"], "↑"), "need 2 symbols, got 1"),
+    (lambda: basis_state(["a"], "→"), "basis_state takes computational symbols ↑/↓ only, got '→'"),
+    (lambda: run(parse_scenario(MINIMAL), engine="x"), "engine must be 'gates' or 'oracle', got 'x'"),
+], ids=[
+    "cluster-empty", "cluster-flips", "cluster-reference", "cluster-vanishing",
+    "spec-environment", "spec-basis", "ideal-script-basis", "check-ready-basis",
+    "ideal-measure-operands", "basis-string", "basis-mapping", "product-not-finite",
+    "basis-state-count", "basis-state-symbol", "run-engine",
+])
+def test_public_refusals(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError
+    assert str(err.value) == message

@@ -15,7 +15,7 @@ from qmeasure.analysis import (
 )
 from qmeasure.gates import Imprint, InverseImprint, RotateBasis, Swap, apply_script, invert_script
 from qmeasure.protocol import MeasurementOutcomeSpec, corrected_measure
-from qmeasure.runner import _initial_state
+from qmeasure.runner import _initial_state, run
 from qmeasure.scenario import parse_scenario
 from qmeasure.statevec import branch_decompose, make_ghz, product_state, tensor
 
@@ -81,6 +81,49 @@ def test_network_of_ten_observers_on_a_50_qubit_ghz(no_dense_builds):
     assert len(pairs) == 55
     assert max(abs(total - 1.0) for total in report.aggregates) < 1e-12
     assert INCONSISTENT not in recover_record(branches, observers[1:])
+
+
+def _sections(doc: dict) -> dict:
+    report = run(parse_scenario(json.dumps(doc)))
+    return {section.title: section.rows for section in report.sections}
+
+
+def test_forty_records_of_one_outcome(no_dense_builds):
+    # record_recovery.json's Z records at scale: s, o1 and ^1o1 … ^40o1 are
+    # single qubits (n = 42), o1 measures s and every record copies o1.
+    # The declared state holds two positions; all 42 qubits end in one GHZ.
+    records = [f"^{j}o1" for j in range(1, 41)]
+    up = [[1, 0], [0, 0]]
+    sections = _sections({"subsystems": [
+        {"label": "s", "amplitudes": [[0.8, 0], [0.6, 0]]},
+        *({"label": label, "amplitudes": up} for label in ["o1", *records]),
+    ], "script": [
+        {"op": "ideal_measure", "signal": "s", "observer": "o1", "basis": "Z"},
+        *({"op": "ideal_measure", "signal": "o1", "observer": r, "basis": "Z"} for r in records),
+        {"op": "branches", "basis": "Z"},
+        {"op": "recover", "basis": "Z", "records": records},
+        {"op": "ledger", "tag": "records"},
+    ]})
+    assert sections["initial state"][1] == ("qubits", "42")
+    assert sections["step 42: branches"][1:] == (
+        ("↑" * 42, "0.8", "0", "0.64"), ("↓" * 42, "0.6", "0", "0.36")
+    )
+    assert sections["step 43: record recovery"][1:] == (
+        ("↑" * 42, "0.64", "↑"), ("↓" * 42, "0.36", "↓")
+    )
+    assert sections["step 44: ledger 'records'"][1:] == (
+        (" ".join(["s", "o1", *records]), "41"), ("total", "41")
+    )
+
+
+def test_forty_declared_up_qubits(no_dense_builds):
+    labels = [f"q{i}" for i in range(40)]
+    sections = _sections({
+        "subsystems": [{"label": label, "amplitudes": [[1, 0], [0, 0]]} for label in labels],
+        "script": [{"op": "branches", "basis": "Z"}, {"op": "ledger", "tag": "t"}],
+    })
+    assert sections["step 1: branches"][1:] == (("↑" * 40, "1", "0", "1"),)
+    assert sections["step 2: ledger 't'"][1:] == (*((label, "0") for label in labels), ("total", "0"))
 
 
 def _declared(parts, order, ghz_labels):

@@ -337,7 +337,7 @@ class TestSizeLimits:
     def test_sparse_product_past_the_limit_keeps_the_dense_limit_share(self, monkeypatch):
         # Past DENSE_MAX_QUBITS a product's index may list SPARSE_SHARE of
         # 2^DENSE_MAX_QUBITS positions, 4 with the limit lowered to 6; a
-        # dense part small against the product is still scanned for it.
+        # dense part is still scanned for it when the product fits.
         monkeypatch.setattr(statevec, "DENSE_MAX_QUBITS", 6)
         sparse_part = product_state(labels(6), [(1, 1)] + [(1, 0)] * 5)
         product = tensor(sparse_part, make_ghz(("w", "x", "y", "z"), (1, 1)))

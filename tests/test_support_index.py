@@ -128,10 +128,16 @@ def assert_same_views(indexed: PureState, plain: PureState) -> None:
 
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), sparse=st.booleans())
+@example(seed=208, sparse=False)  # one 4-qubit GHZ block with a zero coefficient
 def test_indexed_states_match_index_free_copies(seed, sparse):
     gen = np.random.default_rng(seed)
     state = build_register(gen, sparse)
-    assert (state._index is not None) == sparse
+    # Indexed exactly when the support fits the share.  A register that is
+    # one GHZ block is make_ghz's own store, which lists both its positions,
+    # a zero coefficient's too: at 4 qubits that is 2 > 2^4 / 16, so dense.
+    support = np.count_nonzero(state.amplitudes)
+    if not (state._index is None and support == 1 and state.n_qubits == 4):
+        assert (state._index is not None) == (support <= statevec._sparse_limit(state.n_qubits))
     plain = PureState(state.register, state.amplitudes)
     assert plain._index is None
     assert_same_views(state, plain)
@@ -401,14 +407,24 @@ class TestIndexDropped:
         ghz = make_ghz([f"e{i}" for i in range(6)], (1, 1))
         assert PureState(ghz.register, ghz.amplitudes)._index is None
 
-    def test_large_operand_without_index_is_not_scanned(self):
-        # A basis state from the public constructor has one nonzero amplitude
-        # but no index; at 2^8 positions it exceeds the product's share
-        # (2^9 / 16), so tensor builds densely instead of scanning it.
-        big = basis_state([f"d{i}" for i in range(8)], "↑" * 8)
-        assert big._index is None
-        assert tensor(big, basis_state(["s"], "↓"))._index is None
-        assert tensor(basis_state(["s"], "↓"), big)._index is None
+    def test_operand_without_index_is_scanned_exactly_when_the_product_fits(self):
+        # The product is indexed exactly when its support fits the share,
+        # whatever the operands' widths and order.  A basis state copied
+        # through the constructor has no index but one nonzero amplitude:
+        # with |↓⟩ the product lists one position.  |→⟩^8 has 256, more than
+        # 2^9 / 16: that product stays dense.
+        down = basis_state(["s"], "↓")
+        labels = [f"d{i}" for i in range(8)]
+        for big, size in (
+            (PureState(Register(tuple(labels)), basis_state(labels, "↑" * 8).amplitudes), 1),
+            (product_state(labels, [(1, 1)] * 8), None),
+        ):
+            assert big._index is None
+            for left, right in ((big, down), (down, big)):
+                got = tensor(left, right)
+                assert (None if got._index is None else got._index.size) == size
+                want = np.multiply.outer(left.amplitudes, right.amplitudes).reshape(-1)
+                assert got.amplitudes.tobytes() == want.tobytes()
 
 
 def read_concurrently(state: PureState, readers: int = 4) -> list:
