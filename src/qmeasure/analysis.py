@@ -17,12 +17,18 @@ branch structure suggests:
 A state with basis flags, H^frame · φ, is read off the factors of its stored
 amplitudes φ first, and its Z view only where they do not decide it.
 
+A state's decomposition is computed once per tolerance and kept on the
+state.  Relabeling mode and the plain mode share it unless a grouping made
+for it met two positions that co-vary oppositely, so the ledger read before
+a corrected measurement serves the measurement's environment check.
+
 The integer correlation measure of a cluster is its member count minus one
 when both coefficients are live, else zero; ledger snapshots track how that
 resource moves through a measurement procedure.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -151,7 +157,7 @@ def _support(
 _CLASS_BLOCK = 1 << 12
 
 
-def _covariation_classes(idx: np.ndarray, n: int, allow_relabeling: bool) -> list[list[int]]:
+def _covariation_classes(idx: np.ndarray, n: int, allow_relabeling: bool) -> tuple[list[list[int]], bool]:
     """Group qubit positions whose bits co-vary over the support columns ``idx``.
 
     Each position's bits over the columns are XOR'd with its bit in the
@@ -160,6 +166,9 @@ def _covariation_classes(idx: np.ndarray, n: int, allow_relabeling: bool) -> lis
     relabeling mode, and with an equal first bit otherwise.  Constant
     positions (all-zero rows) stay singletons.  Classes come out ordered by
     their first position (the dict keeps insertion order).
+
+    Also returns whether the grouping is mode-neutral: no row shows up with
+    both first-column bits, so both modes group the positions alike.
     """
     first = _bit_matrix(idx[:1], n)
     width = (idx.size + 7) // 8
@@ -168,13 +177,25 @@ def _covariation_classes(idx: np.ndarray, n: int, allow_relabeling: bool) -> lis
         block = _bit_matrix(idx[start : start + _CLASS_BLOCK], n) ^ first
         matrix[:, start // 8 : (start + _CLASS_BLOCK) // 8] = np.packbits(block, axis=0).T
     varies, packed = matrix.any(axis=1).tolist(), matrix.tobytes()
-    classes: dict[int | bytes, list[int]] = {}
+    classes: dict[int | bytes | tuple[bytes, int], list[int]] = {}
+    first_bits: dict[bytes, int] = {}  # keyed by the row objects the classes share
+    neutral = True
     for p, bit in enumerate(first[0].tolist()):
-        key: int | bytes = p
+        key: int | bytes | tuple[bytes, int] = p
         if varies[p]:
-            key = packed[p * width : (p + 1) * width] + (b"" if allow_relabeling else bytes((bit,)))
+            row = packed[p * width : (p + 1) * width]
+            neutral &= first_bits.setdefault(row, bit) == bit
+            key = row if allow_relabeling else (row, bit)
         classes.setdefault(key, []).append(p)
-    return list(classes.values())
+    return list(classes.values()), neutral
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex array, bit for bit, by the same
+    arithmetic without its dispatch, which weighs on peels of a few columns."""
+    v = v.ravel(order="K")
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _peel(
@@ -205,11 +226,11 @@ def _peel(
             bits = idx & mask
             on = (bits == up) | (bits == up ^ mask)
             if not on.all():
-                off = float(np.linalg.norm(amp[~on]))
+                off = _norm(amp[~on])
                 idx, amp = idx[on], amp[on]
         keys, v_up, v_down = _halves(idx, amp, mask, up)
 
-    n_up, n_down = float(np.linalg.norm(v_up)), float(np.linalg.norm(v_down))
+    n_up, n_down = _norm(v_up), _norm(v_down)
     norm = float(np.hypot(n_up, n_down))
     rest = v_down / n_down if n_down > n_up * (1.0 + _PICK_MARGIN) else v_up / n_up
     c_up = complex(np.vdot(rest, v_up))
@@ -225,7 +246,7 @@ def _peel(
     else:
         v_up -= c_up * rest
         v_down -= c_down * rest
-    err = float(np.hypot(np.linalg.norm(v_up), np.linalg.norm(v_down)))
+    err = float(np.hypot(_norm(v_up), _norm(v_down)))
     if off:
         err, norm = float(np.hypot(err, off)), float(np.hypot(norm, off))
     if err / norm > tol:
@@ -236,12 +257,14 @@ def _peel(
 def _detect(
     labels: Sequence[str], idx: np.ndarray | None, amp: np.ndarray, live: np.ndarray | None,
     tol: float, allow_relabeling: bool,
-) -> tuple[list[CorrelationCluster], list[str], np.ndarray]:
+) -> tuple[list[CorrelationCluster], list[str], np.ndarray, bool]:
     """The two detection stages on the columns of ``_support``, classes read
-    off the positions ``live``: the clusters in class order, the residual
-    and the leftover columns."""
+    off the positions ``live``: the clusters in class order, the residual,
+    the leftover columns and whether the classes are mode-neutral."""
     n = len(labels)
-    classes = [[p] for p in range(n)] if live is None else _covariation_classes(live, n, allow_relabeling)
+    classes, neutral = (
+        ([[p] for p in range(n)], True) if live is None else _covariation_classes(live, n, allow_relabeling)
+    )
     first_column = 0 if live is None else int(live[0])
     clusters: list[CorrelationCluster] = []
     residual: list[str] = []
@@ -256,7 +279,7 @@ def _detect(
             continue
         coeffs, idx, amp = peeled
         clusters.append(CorrelationCluster(tuple(members), coeffs, tuple(flips)))
-    return clusters, residual, amp
+    return clusters, residual, amp, neutral
 
 
 def _own_view(
@@ -283,22 +306,22 @@ def _own_view(
 
 def _factored(
     state: PureState, tol: float, allow_relabeling: bool
-) -> tuple[list[CorrelationCluster], list[str], complex] | None:
+) -> tuple[tuple[list[CorrelationCluster], list[str], complex] | None, bool]:
     """The clusters, residual and leftover phase of the state's Z view, read
-    off the factors of its stored amplitudes φ; None where they do not
-    decide them."""
+    off the factors of its stored amplitudes φ, or None where they do not
+    decide them; and whether the classes of φ are mode-neutral."""
     reg, frame, n = state.register, state._frame, state.n_qubits
     try:
         idx, amp, live = _support(_framed(reg, state._index, state._values, 0), tol)
     except ValueError:  # nothing above the cutoff
-        return None
+        return None, True
     if live is None:  # no multi-member factor
-        return None
+        return None, True
     # φ lies within len(factors)·fit of the product of factors accepted within fit.
     fit = 2.0**-49 * (amp.size + n + 3)
-    factors, residual, amp = _detect(reg.labels, idx, amp, live, fit, allow_relabeling)
+    factors, residual, amp, neutral = _detect(reg.labels, idx, amp, live, fit, allow_relabeling)
     if residual:
-        return None
+        return None, neutral
     clusters: list[CorrelationCluster] = []
     residual, phase, low, schmidt, own = [], complex(amp[0]), 1.0, 1.0, 0
     for factor in factors:
@@ -309,13 +332,13 @@ def _factored(
         low *= w[w > 0].min()  # the factor's smallest nonzero modulus in the view
         if m > 1 and k:  # no peel of its view errs by less than its Schmidt coefficient
             if m == 2 == k and not w.all():  # a Bell pair read in X
-                return None
+                return None, neutral
             schmidt = min(schmidt, np.abs(u).min())
             residual += factor.members
             continue
         viewed = _own_view(factor, bool(k), tol)
         if viewed is None:
-            return None
+            return None, neutral
         clusters += viewed[0]
         phase *= viewed[1]
         own += 1
@@ -329,9 +352,9 @@ def _factored(
     margin = 2.0**-49 * (2 ** min(n, DENSE_MAX_QUBITS) + 3)
     bound = (tol * (1.0 + slack) + 3 * slack) / (1.0 - margin)
     if bound >= 2 * tol or low <= bound or schmidt <= bound:
-        return None
+        return None, neutral
     clusters.sort(key=lambda cluster: reg.position(cluster.members[0]))
-    return clusters, residual, phase
+    return (clusters, residual, phase), neutral
 
 
 def find_clusters(
@@ -369,12 +392,21 @@ def find_clusters(
     smallest nonzero modulus, the product of the factors' closed-form minima,
     does not clear the cutoff by that margin.  The clusters are the view's
     either way, coefficients up to rounding.
+
+    The result is computed once per state and ``tol`` and kept on the state,
+    which never changes.  Both modes share it when every grouping into
+    candidate clusters made for it was mode-neutral: no two varying
+    positions co-vary oppositely, so relabeling groups nothing more.
     """
+    memo = state.__dict__.setdefault("_decompositions", {})
+    stored = memo.get((tol, allow_relabeling))
+    if stored is not None:
+        return stored
     reg = state.register
-    found = _factored(state, tol, allow_relabeling) if state._frame else None
+    found, neutral = _factored(state, tol, allow_relabeling) if state._frame else (None, True)
     if found is None:
-        clusters, residual, amp = _detect(reg.labels, *_support(state, tol), tol, allow_relabeling)
-        found = clusters, residual, complex(amp[0])
+        clusters, residual, amp, alike = _detect(reg.labels, *_support(state, tol), tol, allow_relabeling)
+        found, neutral = (clusters, residual, complex(amp[0])), neutral and alike
     clusters, residual, phase = found
     if clusters and not residual:
         # The leftover is a phase; fold it into the last cluster so the
@@ -382,7 +414,10 @@ def find_clusters(
         c_up, c_down = clusters[-1].coefficients
         clusters[-1] = replace(clusters[-1], coefficients=(c_up * phase, c_down * phase))
     residual.sort(key=reg.position)
-    return ClusterDecomposition(tuple(clusters), tuple(residual))
+    decomposition = ClusterDecomposition(tuple(clusters), tuple(residual))
+    for mode in (allow_relabeling, not allow_relabeling) if neutral else (allow_relabeling,):
+        memo[tol, mode] = decomposition
+    return decomposition
 
 
 def cluster_measure(cluster: CorrelationCluster, tol: float = DEFAULT_TOL) -> int:

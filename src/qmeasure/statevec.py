@@ -10,7 +10,9 @@ Conventions used throughout the package:
   register (a, b) the order is |↑↑⟩, |↑↓⟩, |↓↑⟩, |↓↓⟩.
 - States are values.  Amplitude arrays are copied and locked at construction,
   a state never changes after it, and every operation returns a new state,
-  so states are safe to share between threads.
+  so states are safe to share between threads.  The cluster decompositions
+  :func:`qmeasure.analysis.find_clusters` keeps on a state are derived from
+  that value, not part of it.
 - A register has at most ``MAX_QUBITS`` subsystems, so that every amplitude
   position fits an int64.
 - Constructors that accept user coefficients normalize them; everything else

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -80,12 +82,51 @@ def assert_unchanged(state: PureState, stored: dict) -> None:
     assert all(vars(state)[key] is value for key, value in stored.items())
 
 
+def read_concurrently(read, readers: int = 4) -> list:
+    """``read(slot)`` for slots 0 … readers − 1, each in a thread, the
+    threads released together."""
+    start = threading.Barrier(readers)
+    seen = [None] * readers
+
+    def run(slot):
+        start.wait(timeout=10)
+        seen[slot] = read(slot)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(readers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return seen
+
+
 @pytest.fixture
 def no_dense_builds(monkeypatch):
     """Fail on any dense vector built from a support index."""
     def refuse(n, index, values):
         raise AssertionError(f"dense vector over {n} qubits built")
     monkeypatch.setattr(statevec, "_scatter", refuse)
+
+
+@pytest.fixture
+def detections(monkeypatch) -> list:
+    """The labels passed to every later ``analysis._detect`` call, one entry
+    per cluster detection run."""
+    calls = []
+    detect = analysis._detect
+
+    def counted(*args):
+        calls.append(args[0])
+        return detect(*args)
+
+    monkeypatch.setattr(analysis, "_detect", counted)
+    return calls
 
 
 def dense_twin(state: PureState) -> PureState:

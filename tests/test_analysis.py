@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,8 @@ from qmeasure.protocol import (
     corrected_measure,
     uncorrected_measure,
 )
+from qmeasure.runner import RunError, run
+from qmeasure.scenario import parse_scenario
 from qmeasure.statevec import (
     BranchSet,
     PureState,
@@ -46,6 +49,7 @@ from conftest import (
     labels,
     random_pair,
     random_state,
+    read_concurrently,
     scenario_state,
 )
 
@@ -833,7 +837,7 @@ class TestFactoredPath:
     @pytest.mark.parametrize("n, mask, tol, chi, so, decided", GHZ_EDGES)
     def test_which_ghz_edges_the_factored_path_decides(self, n, mask, tol, chi, so, decided):
         flagged = flagged_state(ghz_next_to_s_and_o(n, chi, so), mask)
-        assert (analysis._factored(flagged, tol, False) is not None) == decided
+        assert (analysis._factored(flagged, tol, False)[0] is not None) == decided
         if decided:
             assert set(env_labels(n - 2)) <= set(find_clusters(flagged, tol).residual)
 
@@ -849,7 +853,7 @@ class TestFactoredPath:
         # finds no support and declines, and the view's raises
         state = tensor(product_state(("s", "o"), [(1, 1), (1, 1)]), make_ghz(env_labels(3), (1, 1)))
         flagged = rotate_basis(state, "e1")
-        assert analysis._factored(flagged, 0.6, False) is None
+        assert analysis._factored(flagged, 0.6, False)[0] is None
         for current in (flagged, dense_twin(flagged)):
             with pytest.raises(ValueError, match="state has no support above the tolerance cutoff"):
                 find_clusters(current, 0.6)
@@ -865,7 +869,7 @@ class TestFactoredPath:
         state = rotate_basis(rotate_basis(ghz_next_to_s_and_o(8, (0.6, 0.8j)), "e1"), "e2")
         plain = rotate_basis(rotate_basis(dense_twin(ghz_next_to_s_and_o(8, (0.6, 0.8j))), "e1"), "e2")
         assert state._index is not None and plain._index is None
-        assert analysis._factored(state, DEFAULT_TOL, False) is not None
+        assert analysis._factored(state, DEFAULT_TOL, False)[0] is not None
         assert find_clusters(state) == find_clusters(plain)
 
 
@@ -935,7 +939,7 @@ class TestOneMemberViews:
         )
         factors = ((factor, False, tol, relabel) for factor, tol, relabel in _multi_member_factors(gen, 3000))
         for factor, flagged, tol, relabel in (*singles, *factors):
-            found, left, rest = _peel_of_the_view(factor, flagged, tol, relabel)
+            found, left, rest, _ = _peel_of_the_view(factor, flagged, tol, relabel)
             clusters, phase = analysis._own_view(factor, flagged, tol)
             assert left == []
             assert [(c.members, c.flips) for c in clusters] == [(c.members, c.flips) for c in found]
@@ -950,7 +954,7 @@ class TestOneMemberViews:
         # that φ's columns clear
         state = rotate_basis(tensor(product_state(("a",), [(1, 0)]), make_ghz(env_labels(5), (1, 0))), "a")
         assert analysis._own_view(CorrelationCluster(("a",), (1 + 0j, 0j), (False,)), True, 0.8) is None
-        assert analysis._factored(state, 0.8, False) is None
+        assert analysis._factored(state, 0.8, False)[0] is None
         with pytest.raises(ValueError, match="state has no support above the tolerance cutoff"):
             find_clusters(state, 0.8)
 
@@ -958,21 +962,121 @@ class TestOneMemberViews:
         # Deciding takes tol > 3·slack, far above the rounding a one-member
         # peel errs by: at 1e-13 the factors of an env_reject state decline.
         state = env_reject_state()
-        assert analysis._factored(state, 1e-13, False) is None
-        assert analysis._factored(state, DEFAULT_TOL, False) is not None
+        assert analysis._factored(state, 1e-13, False)[0] is None
+        assert analysis._factored(state, DEFAULT_TOL, False)[0] is not None
 
-    def test_an_env_reject_state_runs_one_detection(self, monkeypatch):
-        calls = []
-        detect = analysis._detect
-
-        def counted(*args):
-            calls.append(args[0])
-            return detect(*args)
-
-        monkeypatch.setattr(analysis, "_detect", counted)
+    def test_an_env_reject_state_runs_one_detection(self, detections):
         state = env_reject_state()
         assert set(env_labels(16)) == set(find_clusters(state).residual)
-        assert calls == [state.register.labels]
+        assert detections == [state.register.labels]
+
+
+# Stored decompositions: find_clusters computes a state's decomposition once
+# per tolerance and keeps it on the state, shared by both modes where every
+# grouping made for it was mode-neutral.
+
+
+def answer_bits(state, tol, relabel):
+    """``find_clusters``' answer with every coefficient as float hex, or the
+    message it raised."""
+    try:
+        found = find_clusters(state, tol, relabel)
+    except ValueError as error:
+        return str(error)
+    coefficients = [[(z.real.hex(), z.imag.hex()) for z in c.coefficients] for c in found.clusters]
+    return found.residual, [(c.members, c.flips) for c in found.clusters], coefficients
+
+
+ENV = list(env_labels(8))
+
+
+def run_next_to_a_ghz(*script):
+    """The report of ``script`` on s = (0.6, 0.8i), o = (1, 2) and a Z-frame
+    GHZ over ``ENV``."""
+    return run(parse_scenario(json.dumps({"subsystems": [
+        {"label": "s", "amplitudes": [[0.6, 0], [0, 0.8]]},
+        {"label": "o", "amplitudes": [[1, 0], [2, 0]]},
+        {"ghz": {"labels": ENV, "coefficients": [[1, 0], [0, 1]]}},
+    ], "script": list(script)})))
+
+
+#: One-GHZ tolerance edges of ``GHZ_EDGES``: a small coefficient near the
+#: cutoff, and an odd half of the view near it.
+NEAR_CUTOFF = st.sampled_from([(1, 1e-8), (1, 1.5e-9), (1, 1 + 2**0.5 * 1e-8)])
+
+
+class TestStoredDecompositions:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 10),
+        mask=st.integers(0, 2**10 - 1),
+        ghz=st.none() | st.tuples(PAIRS | NEAR_CUTOFF, st.none() | st.tuples(PAIRS, PAIRS)),
+        dense=st.booleans(),
+        tols=st.lists(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 0.3]), min_size=2, max_size=2, unique=True),
+    )
+    # Bell pairs read in X, and a GHZ coefficient near the cutoff
+    @example(seed=0, n=4, mask=0b0011, ghz=((1, 1), None), dense=False, tols=[1e-9, 1e-3])
+    @example(seed=0, n=4, mask=0b0011, ghz=((1, -1), None), dense=True, tols=[1e-9, 0.3])
+    @example(seed=0, n=6, mask=0b111111, ghz=((1, 1.5e-9), None), dense=False, tols=[1e-9, 1e-12])
+    def test_stored_decompositions_match_fresh_ones(self, seed, n, mask, ghz, dense, tols):
+        # random cluster products, anticorrelated members among them, or a
+        # GHZ over e1… next to s and o; flagged, on an index or dense
+        def build():
+            if ghz is None:
+                state = random_cluster_state(np.random.default_rng(seed), n)
+            else:
+                state = ghz_next_to_s_and_o(max(n, 3), *ghz)
+            flagged = flagged_state(state, mask % 2**state.n_qubits)
+            return dense_twin(flagged) if dense else flagged
+
+        for first in (False, True):
+            state = build()
+            for tol, relabel in ((tols[0], first), (tols[0], not first), (tols[0], first),
+                                 (tols[1], not first), (tols[1], first)):
+                assert answer_bits(state, tol, relabel) == answer_bits(build(), tol, relabel)
+
+    def test_a_corrected_z_run_detects_each_state_once(self, detections):
+        # the ledger's read of the declared state serves the environment
+        # check, so three reads take two detections
+        report = run_next_to_a_ghz(
+            {"op": "ledger", "tag": "before"},
+            {"op": "corrected_measure", "signal": "s", "observer": "o", "environment": ENV, "basis": "Z"},
+            {"op": "ledger", "tag": "after"},
+        )
+        ledgers = [section for section in report.sections if "ledger" in section.title]
+        assert [section.rows[-1] for section in ledgers] == [("total", "7")] * 2
+        assert len(detections) == 2
+
+    def test_an_env_reject_run_detects_once(self, detections):
+        with pytest.raises(RunError, match="carry no GHZ structure"):
+            run_next_to_a_ghz(
+                {"op": "corrected_measure", "signal": "s", "observer": "o", "environment": ENV, "basis": "X"}
+            )
+        assert len(detections) == 1
+
+    def test_modes_that_group_a_flipped_pair_apart_detect_apart(self, detections):
+        # |↑↓⟩ and |↓↑⟩: one class in relabeling mode, two otherwise
+        state = tensor(correlated_pair(("s", "o"), (0.6, 0.8), anti=True), make_ghz(env_labels(3), (1, 1)))
+        for _ in range(2):
+            relabeled, plain = find_clusters(state, allow_relabeling=True), find_clusters(state)
+        assert len(detections) == 2
+        assert relabeled.clusters[0].members == ("s", "o") and relabeled.residual == ()
+        assert plain.residual == ("s", "o")
+
+    @pytest.mark.parametrize("anti", [False, True])
+    def test_threads_reading_one_fresh_state_agree(self, anti):
+        def build():
+            return tensor(correlated_pair(("s", "o"), (0.6, 0.8j), anti=anti), make_ghz(env_labels(12), (1, 2)))
+
+        want = {relabel: answer_bits(build(), DEFAULT_TOL, relabel) for relabel in (False, True)}
+        state = build()
+
+        def read(slot):  # even slots read relabeling mode first
+            order = (slot % 2 == 0, slot % 2 == 1)
+            return {relabel: answer_bits(state, DEFAULT_TOL, relabel) for relabel in order}
+
+        assert read_concurrently(read) == [want] * 4
 
 
 # Cluster detection on a full support: every one of the 2^n positions is a
@@ -1045,7 +1149,7 @@ class TestFullColumnPeel:
         # find_clusters skips the co-variation scan on a full support
         for relabel in (False, True):
             classes = analysis._covariation_classes(np.arange(2**n), n, relabel)
-            assert classes == [[p] for p in range(n)]
+            assert classes == ([[p] for p in range(n)], True)
 
 
 class TestPeelRejectBound:

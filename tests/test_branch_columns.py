@@ -137,6 +137,8 @@ def test_covariation_classes_match_the_per_qubit_reference(data):
     idx = np.unique(sum(bits[p] << (n - 1 - p) for p in range(n)))
     relabel = data.draw(st.booleans())
     expected = reference_classes(idx, n, relabel)
+    # Mode-neutral exactly when both modes group the positions alike.
+    expected = expected, expected == reference_classes(idx, n, not relabel)
     assert analysis._covariation_classes(idx, n, relabel) == expected
     with pytest.MonkeyPatch.context() as patch:  # many blocks, the last one partial
         patch.setattr(analysis, "_CLASS_BLOCK", 8)

@@ -42,7 +42,7 @@ def assert_same_listing(got, want) -> None:
     assert np.allclose(got.amplitudes, want.amplitudes, rtol=0.0, atol=1e-12)
 
 
-def test_network_of_ten_observers_on_a_50_qubit_ghz(no_dense_builds):
+def test_network_of_ten_observers_on_a_50_qubit_ghz(no_dense_builds, detections):
     # o1 … o10 each make a corrected Z measurement of one generic signal s;
     # measurement i draws on e1 … e(51−i) and leaves o_i's old state φ_i in
     # its dump slot e(51−i), so n = 61 and the Z table has 2·2·2^10 rows.
@@ -59,6 +59,8 @@ def test_network_of_ten_observers_on_a_50_qubit_ghz(no_dense_builds):
         state = corrected_measure(state, spec)
         ledger = ledger_record(ledger, state, observer)
     assert ledger.totals() == (size - 1,) * (k + 1)
+    # each ledger read serves the next environment check: 21 reads, 11 detections
+    assert len(detections) == k + 1
 
     branches = branch_decompose(state, "Z")
     assert len(branches) == 2 * 2 * 2**k

@@ -8,8 +8,6 @@ builds on each access must be the one the index-free copy holds.
 """
 import json
 import re
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -41,7 +39,7 @@ from qmeasure.statevec import (
     tensor,
 )
 
-from conftest import assert_unchanged, random_pair
+from conftest import assert_unchanged, random_pair, read_concurrently
 
 
 def check_index(state: PureState) -> None:
@@ -427,29 +425,6 @@ class TestIndexDropped:
                 assert got.amplitudes.tobytes() == want.tobytes()
 
 
-def read_concurrently(state: PureState, readers: int = 4) -> list:
-    """``state.amplitudes`` as read by threads released together."""
-    start = threading.Barrier(readers)
-    seen = [None] * readers
-
-    def read(slot):
-        start.wait(timeout=10)
-        seen[slot] = state.amplitudes
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=read, args=(i,)) for i in range(readers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    return seen
-
-
 def test_concurrent_amplitude_reads_agree_and_change_nothing():
     so = product_state(["s", "o"], [(1, 1), (1, 2)])
     for env_size, indexed in ((3, False), (14, True)):
@@ -458,7 +433,7 @@ def test_concurrent_amplitude_reads_agree_and_change_nothing():
             assert (candidate._index is not None) == indexed
             stored = dict(vars(candidate))
             want = candidate.amplitudes.tobytes()
-            for vec in read_concurrently(candidate):
+            for vec in read_concurrently(lambda slot: candidate.amplitudes):
                 assert not vec.flags.writeable
                 assert vec.tobytes() == want
             assert_unchanged(candidate, stored)
