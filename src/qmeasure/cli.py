@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .analysis import DEFAULT_TOL
@@ -71,10 +70,10 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     if args.tol is not None:
         if not 0 < args.tol < 1:
             raise ScenarioError("bad-structure", f"--tol must be in (0, 1), got {args.tol}")
-        options = replace(options, tolerance=args.tol)
+        options = options._replace(tolerance=args.tol)
     if args.relabel is not None:
-        options = replace(options, relabel=args.relabel == "on")
-    return replace(scenario, options=options)
+        options = options._replace(relabel=args.relabel == "on")
+    return scenario._replace(options=options)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -115,20 +115,18 @@ def fmt(value: float) -> str:
 def _initial_state(scenario: Scenario) -> PureState:
     """The declared state, stored as ``tensor`` chained over the declared
     states would store it: each GHZ part (one member for a single qubit)
-    counted against the limits, then one product-rule fold and norm check."""
-    parts, width, size = [], 0, 1
+    built and counted against the limits by ``statevec._parts``, then one
+    product-rule fold and norm check."""
+    built = statevec._parts(
+        (1, decl.amplitudes, f"amplitude pair for {decl.label!r}")
+        if isinstance(decl, SingleDecl)
+        else (len(decl.labels), decl.coefficients, "GHZ coefficient vector")
+        for decl in scenario.declarations
+    )
+    parts = []
     for decl in scenario.declarations:
         try:
-            if isinstance(decl, SingleDecl):
-                m, pair, what = 1, decl.amplitudes, f"amplitude pair for {decl.label!r}"
-            elif isinstance(decl, GhzDecl):
-                m, pair, what = len(decl.labels), decl.coefficients, "GHZ coefficient vector"
-            else:
-                raise TypeError(f"unknown declaration {decl!r}")
-            parts.append(statevec._ghz_part(m, statevec._normalized_pair(pair, what)))
-            width, size = width + m, size * statevec._support_size(parts[-1])
-            if size > statevec._sparse_limit(width):
-                statevec._check_dense(width)
+            parts.append(next(built))
         except ValueError as exc:
             raise RunError(0, decl, exc) from exc
     _, index, values = reduce(statevec._product, parts)

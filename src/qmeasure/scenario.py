@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .analysis import DEFAULT_TOL
 from .gates import GateOp, Imprint, InverseImprint, RotateBasis, Swap
@@ -64,57 +63,48 @@ class ScenarioError(Exception):
         super().__init__(f"[{code}] {message}{where}")
 
 
-@dataclass(frozen=True)
-class SingleDecl:
+class SingleDecl(NamedTuple):
     label: str
     amplitudes: tuple[complex, complex]
 
 
-@dataclass(frozen=True)
-class GhzDecl:
+class GhzDecl(NamedTuple):
     labels: tuple[str, ...]
     coefficients: tuple[complex, complex]
 
 
-@dataclass(frozen=True)
-class UncorrectedStep:
+class UncorrectedStep(NamedTuple):
     signal: str
     observer: str
     environment: str
 
 
-@dataclass(frozen=True)
-class CorrectedStep:
+class CorrectedStep(NamedTuple):
     spec: MeasurementOutcomeSpec
 
 
-@dataclass(frozen=True)
-class IdealStep:
+class IdealStep(NamedTuple):
     signal: str
     observer: str
     basis: str
 
 
-@dataclass(frozen=True)
-class BranchesStep:
-    basis: dict[str, str] = field(default_factory=dict)
+class BranchesStep(NamedTuple):
+    basis: dict[str, str]
 
 
-@dataclass(frozen=True)
-class LedgerStep:
+class LedgerStep(NamedTuple):
     tag: str
 
 
-@dataclass(frozen=True)
-class AgreementStep:
+class AgreementStep(NamedTuple):
     pairs: tuple[tuple[str, str], ...]
-    basis: dict[str, str] = field(default_factory=dict)
+    basis: dict[str, str]
 
 
-@dataclass(frozen=True)
-class RecoverStep:
+class RecoverStep(NamedTuple):
     records: tuple[str, ...]
-    basis: dict[str, str] = field(default_factory=dict)
+    basis: dict[str, str]
 
 
 Step = (
@@ -129,14 +119,12 @@ Step = (
 )
 
 
-@dataclass(frozen=True)
-class Options:
+class Options(NamedTuple):
     tolerance: float = DEFAULT_TOL
     relabel: bool = True
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     register: Register
     declarations: tuple[SingleDecl | GhzDecl, ...]
     script: tuple[Step, ...]
@@ -170,10 +158,10 @@ def _label(raw: Any, what: str) -> str:
 
 
 def _known_label(raw: Any, what: str, declared: set[str]) -> str:
+    if isinstance(raw, str) and raw in declared:
+        return raw
     label = _label(raw, what)
-    if label not in declared:
-        raise ScenarioError("unknown-label", f"{what}: label {label!r} is not declared")
-    return label
+    raise ScenarioError("unknown-label", f"{what}: label {label!r} is not declared")
 
 
 def _require(obj: Mapping, keys: tuple[str, ...], what: str, optional: tuple[str, ...] = ()) -> None:

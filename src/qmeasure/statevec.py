@@ -20,16 +20,16 @@ Conventions used throughout the package:
   states that drifted further than that.
 
 Builders store products of GHZ parts, a single qubit as a one-member part,
-by one product rule.  Sparse states hold only their support: a state built
-by :func:`make_ghz`, :func:`tensor` or a permutation gate (imprint, inverse
-imprint, swap) on such a state keeps a private support index: sorted,
-unique int64 positions, and the amplitudes at them, outside which every
-amplitude is exactly 0.  That pair is the state's source of truth; a built
-product is indexed exactly when its support fits 2^n · ``SPARSE_SHARE``
-positions, the share below which moving the indexed amplitudes beats a
-strided pass, and never more than that share of 2^``DENSE_MAX_QUBITS``
-(2^20): over more qubits, where no dense vector can take over, a larger
-index is refused as the dense vector would be.
+built by :func:`_parts` and folded by one product rule.  Sparse states hold
+only their support: a state built by :func:`make_ghz`, :func:`tensor` or a
+permutation gate (imprint, inverse imprint, swap) on such a state keeps a
+private support index: sorted, unique int64 positions, and the amplitudes at
+them, outside which every amplitude is exactly 0.  That pair is the state's
+source of truth; a built product is indexed exactly when its support fits
+2^n · ``SPARSE_SHARE`` positions, the share below which moving the indexed
+amplitudes beats a strided pass, and never more than that share of
+2^``DENSE_MAX_QUBITS`` (2^20): over more qubits, where no dense vector can
+take over, a larger index is refused as the dense vector would be.
 
 Every state also carries a per-qubit basis frame, a bitmask with the bit
 order of the amplitude index: the state is H^frame · φ, where H is the
@@ -51,10 +51,9 @@ qubits is built; asking for one raises :class:`DenseLimitError`.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property, reduce
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -181,18 +180,15 @@ def _adopt(
 
     Internal fast path for gate kernels and state builders.  ``arr`` is the
     dense 2^n vector or, when ``index`` is given, the amplitudes at that
-    support index (see the module docstring), of φ in the state H^frame · φ;
-    an index beyond :func:`_sparse_limit` is scattered into the dense vector
-    and dropped.  The state keeps ``arr`` as its stored values (``_values``);
-    the norm invariant is still enforced over them, but the copy and
-    finiteness scan are skipped because unitary kernels and products of
-    validated states preserve both, and the arrays are owned by the caller.
+    support index (see the module docstring), of φ in the state H^frame · φ,
+    which the caller keeps within :func:`_sparse_limit`.  The state keeps
+    ``arr`` as its stored values (``_values``); the norm invariant is still
+    enforced over them, but the copy and finiteness scan are skipped because
+    unitary kernels and products of validated states preserve both, and the
+    arrays are owned by the caller.
     """
     if index is not None:
-        if index.size > _sparse_limit(len(register)):
-            arr, index = _scatter(len(register), index, arr), None
-        else:
-            index.setflags(write=False)
+        index.setflags(write=False)
     norm = float(np.linalg.norm(arr))
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state norm {norm!r} is off unity by more than {NORM_TOL}")
@@ -377,19 +373,17 @@ def product_state(
 ) -> PureState:
     """Tensor product of single-qubit states, one (up, down) amplitude pair per label.
 
-    Each pair is normalized on its own and is a one-member GHZ part of the one
-    product rule; a dense product past the limit is refused before the fold.
+    Each pair is normalized on its own and is a one-member GHZ part built by
+    :func:`_parts`, which refuses a dense product past the limit before the fold.
     """
     reg = as_register(register)
     if len(per_qubit) != len(reg):
         raise ValueError(
             f"got {len(per_qubit)} amplitude pairs for {len(reg)} register labels"
         )
-    parts = [_ghz_part(1, _normalized_pair(pair, f"amplitude pair for {label!r}"))
-             for label, pair in zip(reg.labels, per_qubit)]
-    if math.prod(map(_support_size, parts)) > _sparse_limit(len(reg)):
-        _check_dense(len(reg))
-    _, index, values = reduce(_product, parts)
+    shapes = ((1, pair, f"amplitude pair for {label!r}")
+              for label, pair in zip(reg.labels, per_qubit))
+    _, index, values = reduce(_product, list(_parts(shapes)))
     return _adopt(reg, values, index)
 
 
@@ -421,14 +415,32 @@ def make_ghz(
     reg = as_register(labels)
     if len(coefficients) != 2:
         raise ValueError("make_ghz takes exactly two coefficients (qubit registers)")
-    _, index, values = _ghz_part(len(reg), _normalized_pair(coefficients, "GHZ coefficient vector"))
+    [(_, index, values)] = _parts([(len(reg), coefficients, "GHZ coefficient vector")])
     return _adopt(reg, values, index)
 
 
+def _parts(shapes: Iterable[tuple[int, Sequence[complex], str]]) -> Iterator[tuple]:
+    """The GHZ parts of a declared product, one per ``(m, coefficients, what)``
+    shape (a single qubit is m = 1): the one builder of :func:`product_state`,
+    :func:`make_ghz` and the runner's declared state.  The first part whose
+    running support, counted from the declared shapes, passes
+    :func:`_sparse_limit` of the running width is refused there, before a
+    caller that lists the parts folds them.  So 24 qubits of (1, 1e-200) and
+    one |↑⟩ are refused "over 25 qubits", where the :func:`tensor` chain
+    indexes 2^20 positions (see :func:`_product`)."""
+    width, size = 0, 1
+    for m, coefficients, what in shapes:
+        part = _ghz_part(m, _normalized_pair(coefficients, what))
+        width, size = width + m, size * _support_size(part)
+        if size > _sparse_limit(width):
+            _check_dense(width)
+        yield part
+
+
 def _ghz_part(m: int, coeffs: np.ndarray) -> tuple:
-    """What :func:`make_ghz` stores over m labels, and :func:`product_state`
-    for one qubit (m = 1), from normalized coefficients: the all-↑/all-↓
-    index, or the dense vector where that exceeds the share (m ≤ 4)."""
+    """What a GHZ over m labels stores, a single qubit for m = 1, from
+    normalized coefficients: the all-↑/all-↓ index, or the dense vector
+    where that exceeds the share (m ≤ 4)."""
     if 2 > _sparse_limit(m):
         _check_dense(m)
         values = np.zeros(2**m, dtype=np.complex128)
@@ -457,7 +469,9 @@ def _product(a: tuple, b: tuple) -> tuple:
     """The stored amplitudes of a ⊗ b, each part (qubits, index or None, values)
     as a state stores them: the one product rule, of :func:`tensor`,
     :func:`product_state` and the runner's declared state: indexed exactly when
-    the parts' support sizes multiply to at most :func:`_sparse_limit`."""
+    the parts' support sizes multiply to at most :func:`_sparse_limit`.  A
+    dense part counts its nonzeros, so where amplitude products underflow to 0
+    a :func:`tensor` chain indexes what :func:`_parts` refuses."""
     n, known = a[0] + b[0], []
     if _support_size(a) * _support_size(b) > _sparse_limit(n):
         _check_dense(n)

@@ -117,6 +117,22 @@ PARSE_ERRORS = {
         _doc([{"op": "imprint", "source": "s", "target": "nope"}]),
         "unknown-label", "script[0]: label 'nope' is not declared",
     ),
+    "operand given as a list": (
+        _doc([{"op": "imprint", "source": "s", "target": ["s"]}]),
+        "bad-structure", "script[0]: invalid subsystem label ['s']",
+    ),
+    "operand given as a number": (
+        _doc([{"op": "imprint", "source": "s", "target": 1}]),
+        "bad-structure", "script[0]: invalid subsystem label 1",
+    ),
+    "operand with a space": (
+        _doc([{"op": "imprint", "source": "s", "target": "a b"}]),
+        "bad-structure", "script[0]: invalid subsystem label 'a b'",
+    ),
+    "empty operand": (
+        _doc([{"op": "imprint", "source": "s", "target": ""}]),
+        "bad-structure", "script[0]: invalid subsystem label ''",
+    ),
     "imprint onto itself": (
         _doc([{"op": "imprint", "source": "s", "target": "s"}]),
         "bad-structure", "script[0]: operands must be distinct",

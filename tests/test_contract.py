@@ -1,16 +1,22 @@
 """The run contract on generated input.
 
 Any document either parses and runs to a report or ends in a coded
-``ScenarioError``/``RunError``; and the strided engine and the dense-matrix
-oracle give the same report (same sections, rows, symbols and errors,
-numbers within 1e-10) on random scenarios of up to 8 qubits.  The public
-constructors and procedures refuse bad arguments with a ValueError and a
-fixed message.
+``ScenarioError``/``RunError``, past the dense limit too, in a ``qmeasure
+run`` process of bounded memory; and the strided engine and the
+dense-matrix oracle give the same report (same sections, rows, symbols and
+errors, numbers within 1e-10) on random scenarios of up to 8 qubits.  The
+public constructors and procedures refuse bad arguments with a ValueError
+and a fixed message.
 """
 from __future__ import annotations
 
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,19 +157,24 @@ def random_basis(gen: np.random.Generator, names: list[str]):
     return "ZX"[kind]
 
 
-def random_scenario(gen: np.random.Generator) -> dict:
-    """Up to 8 qubits: s, o, a GHZ environment of 2-4, a ready observer a
-    and a spare b; a random script over every step kind and both bases,
-    half the time after a corrected measurement set up to succeed."""
-    env = [f"e{i}" for i in range(1, int(gen.integers(2, 5)) + 1)]
+def random_scenario(
+    gen: np.random.Generator, observers=("o",), env_sizes=(2, 4), spares=("b",)
+) -> dict:
+    """Up to 8 qubits by default: s, the observers, a GHZ environment of
+    ``env_sizes`` qubits (both ends included), a ready observer a and the
+    spares; a random script over every step kind and both bases, half the
+    time after a corrected measurement of the first observer set up to
+    succeed."""
+    env = [f"e{i}" for i in range(1, int(gen.integers(env_sizes[0], env_sizes[1] + 1)) + 1)]
     ready = str(gen.choice(["Z", "X"]))
-    names = ["s", "o", *env, "a", "b"]
+    o, b = observers[0], spares[0]
+    names = ["s", *observers, *env, "a", *spares]
     subsystems = [
         {"label": "s", "amplitudes": random_pair(gen)},
-        {"label": "o", "amplitudes": random_pair(gen)},
+        *({"label": lbl, "amplitudes": random_pair(gen)} for lbl in observers),
         {"ghz": {"labels": env, "coefficients": random_pair(gen)}},
         {"label": "a", "amplitudes": [[1, 0], [0, 0]] if ready == "Z" else [[1, 0], [1, 0]]},
-        {"label": "b", "amplitudes": random_pair(gen)},
+        *({"label": lbl, "amplitudes": random_pair(gen)} for lbl in spares),
     ]
     script: list[dict] = []
     if gen.random() < 0.5:
@@ -171,7 +182,7 @@ def random_scenario(gen: np.random.Generator) -> dict:
         if frame == "X":
             script += [{"op": "rotate_basis", "target": lbl} for lbl in env]
         script.append(
-            {"op": "corrected_measure", "signal": "s", "observer": "o", "environment": env,
+            {"op": "corrected_measure", "signal": "s", "observer": o, "environment": env,
              "basis": frame}
         )
 
@@ -188,10 +199,10 @@ def random_scenario(gen: np.random.Generator) -> dict:
         lambda: {"op": "rotate_basis", "target": str(gen.choice(names))},
         lambda: dict(zip(("op", "signal", "observer", "environment"),
                          ["uncorrected_measure", *three()])),
-        lambda: {"op": "corrected_measure", "signal": "s", "observer": "o", "environment": env,
+        lambda: {"op": "corrected_measure", "signal": "s", "observer": o, "environment": env,
                  "basis": str(gen.choice(["Z", "X"]))},
-        lambda: {"op": "ideal_measure", "signal": str(gen.choice(["s", "o"])),
-                 "observer": "a" if gen.random() < 0.7 else "b", "basis": str(gen.choice(["Z", "X"]))},
+        lambda: {"op": "ideal_measure", "signal": str(gen.choice(["s", o])),
+                 "observer": "a" if gen.random() < 0.7 else b, "basis": str(gen.choice(["Z", "X"]))},
         lambda: {"op": "branches", "basis": random_basis(gen, names)},
         lambda: {"op": "ledger", "tag": "t"},
         lambda: {"op": "agreement", "pairs": [two()], "basis": random_basis(gen, names)},
@@ -200,6 +211,15 @@ def random_scenario(gen: np.random.Generator) -> dict:
     for _ in range(int(gen.integers(2, 7))):
         script.append(makers[int(gen.integers(len(makers)))]())
     return {"subsystems": subsystems, "script": script, "options": {"relabel": bool(gen.random() < 0.5)}}
+
+
+def full_size_scenario(gen: np.random.Generator) -> dict:
+    """A :func:`random_scenario` at n = 25...63: s, 1-6 observers, a GHZ
+    environment of 20-55 qubits, a ready observer a and 1-3 spares."""
+    observers = [f"o{i}" for i in range(int(gen.integers(1, 7)))]
+    spares = [f"b{i}" for i in range(int(gen.integers(1, 4)))]
+    rest = 2 + len(observers) + len(spares)
+    return random_scenario(gen, observers, (max(20, 25 - rest), min(55, 63 - rest)), spares)
 
 
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
@@ -240,6 +260,34 @@ def test_gates_and_oracle_engines_agree(seed):
             assert len(row) == len(other) and all(
                 same_up_to_numbers(x, y) for x, y in zip(row, other)
             ), (ours.title, row, other)
+
+
+#: Address space of each ``qmeasure run`` child, and the peak RSS it may
+#: reach: the dearest run the limits admit, a listing of
+#: ``runner.LISTING_MAX_ROWS`` rows or detection on a dense 24-qubit state,
+#: peaks near 1 GiB.
+CHILD_ADDRESS_SPACE = 3 * 2**30
+CHILD_PEAK_RSS_MIB = 1280
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_full_size_documents_end_in_a_report_or_a_coded_error(tmp_path, seed):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(full_size_scenario(np.random.default_rng(seed))))
+    cap = (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qmeasure.cli", "run", str(path)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        cwd=Path(__file__).resolve().parent.parent,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap),
+    )
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode in (0, 2) and "Traceback" not in stderr, stderr
+    assert usage.ru_maxrss / 1024 < CHILD_PEAK_RSS_MIB
 
 
 SO = product_state(["s", "o"], [(1, 0), (1, 0)])

@@ -371,14 +371,15 @@ class TestShareEdge:
         assert at_share._index.tolist() == [0, 1, 62, 63]
         check_index(at_share)
 
-    def test_one_position_beyond_the_share_drops_it(self):
+    def test_adopt_keeps_an_index_at_the_share(self):
+        # No builder hands _adopt a longer index: every built state keeps
+        # its index exactly when the support fits the share
+        # (test_indexed_states_match_index_free_copies).
         reg = Register(tuple(f"q{i}" for i in range(6)))
-        limit = int(2**6 * SPARSE_SHARE)
-        for size, kept in ((limit, True), (limit + 1, False)):
-            vec = np.zeros(2**6, dtype=np.complex128)
-            index = np.arange(size, dtype=np.int64)
-            vec[index] = 1 / np.sqrt(size)
-            assert (_adopt(reg, vec[index], index)._index is not None) == kept
+        size = int(2**6 * SPARSE_SHARE)
+        index = np.arange(size, dtype=np.int64)
+        values = np.full(size, 1 / np.sqrt(size), dtype=np.complex128)
+        assert _adopt(reg, values, index)._index is index
 
     def test_norm_is_checked_over_the_index(self):
         reg = Register(tuple(f"q{i}" for i in range(6)))
@@ -586,6 +587,25 @@ def test_declared_state_is_the_chain_of_tensor_calls(monkeypatch, kinds, seed, d
     if got._index is not None:
         assert got._index.tobytes() == want._index.tobytes()
     assert got._values.tobytes() == want._values.tobytes()
+
+
+def test_underflowing_declared_products_are_counted_by_their_shapes():
+    # 24 qubits of (1, 1e-200) and one |↑⟩.  The declared state and
+    # product_state count the declared shapes, 2^24 positions, and refuse at
+    # the 25th qubit.  The chain of tensor calls counts a dense prefix's
+    # nonzeros after amplitude products under 5e-324 became 0, and indexes
+    # 2^20 positions instead.
+    labels = [f"q{i}" for i in range(25)]
+    pairs = [(1, 1e-200)] * 24 + [(1, 0)]
+    with pytest.raises(statevec.DenseLimitError, match="over 25 qubits"):
+        product_state(labels, pairs)
+    doc = {"subsystems": [
+        {"label": label, "amplitudes": [[up, 0], [down, 0]]} for label, (up, down) in zip(labels, pairs)
+    ]}
+    with pytest.raises(RunError, match=r"^initial state \(SingleDecl\): .* over 25 qubits"):
+        run(parse_scenario(json.dumps(doc)))
+    chained, failed = _chained(parse_scenario(json.dumps(doc)).declarations)
+    assert failed is None and chained._index.size == 2**20
 
 
 def test_z_corrected_measurement_beyond_dense_memory(no_dense_builds):
