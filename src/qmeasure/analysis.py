@@ -15,7 +15,9 @@ branch structure suggests:
    cleared; candidates that do not factor cleanly are moved to the residual.
 
 A state with basis flags, H^frame · φ, is read off the factors of its stored
-amplitudes φ first, and its Z view only where they do not decide it.
+amplitudes φ first, and its Z view only where they do not decide it.  So is
+a declared product with or without flags, whose factors of φ are its
+declared parts, in closed form, with no detection on φ.
 
 A state's decomposition is computed once per tolerance and kept on the
 state.  Relabeling mode and the plain mode share it unless a grouping made
@@ -28,14 +30,13 @@ resource moves through a measurement procedure.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .statevec import DENSE_MAX_QUBITS, X_SYMBOLS, Z_SYMBOLS, BranchSet, PureState
-from .statevec import _bit_matrix, _frame_view, _framed, _halves, _rotate_axis
+from .statevec import _bit_matrix, _frame_view, _framed, _halves, _norm, _rotate_axis
 
 #: Default detection tolerance.  Two roles: the cutoff on |amplitude| of the
 #: support the candidate clusters are read from, and the relative 2-norm
@@ -190,14 +191,6 @@ def _covariation_classes(idx: np.ndarray, n: int, allow_relabeling: bool) -> tup
     return list(classes.values()), neutral
 
 
-def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm`` of a complex array, bit for bit, by the same
-    arithmetic without its dispatch, which weighs on peels of a few columns."""
-    v = v.ravel(order="K")
-    re, im = v.real, v.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
 def _peel(
     idx: np.ndarray | None, amp: np.ndarray, shifts: list[int], flips: list[bool], tol: float
 ) -> tuple[tuple[complex, complex], np.ndarray | None, np.ndarray] | None:
@@ -304,26 +297,52 @@ def _own_view(
             for member, flip, w in zip(factor.members, factor.flips, weights)], r
 
 
+def _block_factors(labels: Sequence[str], blocks: tuple) -> list[CorrelationCluster]:
+    """The factors of φ read off its declared parts, in register order: a
+    part with two nonzero coefficients is one factor, and one with a single
+    nonzero coefficient gives its members as one-member factors, that
+    coefficient on the first and 1 on the rest, as ``_detect`` peels a
+    constant class."""
+    factors, start = [], 0
+    for m, (c_up, c_down) in blocks:
+        members, start = tuple(labels[start : start + m]), start + m
+        if c_up and c_down:
+            factors.append(CorrelationCluster(members, (c_up, c_down), (False,) * m))
+            continue
+        weights = [c_up or c_down] + [1 + 0j] * (m - 1)
+        factors += [CorrelationCluster((member,), (w, 0j) if c_up else (0j, w), (False,))
+                    for member, w in zip(members, weights)]
+    return factors
+
+
 def _factored(
     state: PureState, tol: float, allow_relabeling: bool
 ) -> tuple[tuple[list[CorrelationCluster], list[str], complex] | None, bool]:
     """The clusters, residual and leftover phase of the state's Z view, read
     off the factors of its stored amplitudes φ, or None where they do not
-    decide them; and whether the classes of φ are mode-neutral."""
+    decide them; and whether the classes of φ are mode-neutral.  A declared
+    product's factors are its parts, leftover phase 1; any other φ's are
+    detected."""
     reg, frame, n = state.register, state._frame, state.n_qubits
-    try:
-        idx, amp, live = _support(_framed(reg, state._index, state._values, 0), tol)
-    except ValueError:  # nothing above the cutoff
-        return None, True
-    if live is None:  # no multi-member factor
-        return None, True
-    # φ lies within len(factors)·fit of the product of factors accepted within fit.
-    fit = 2.0**-49 * (amp.size + n + 3)
-    factors, residual, amp, neutral = _detect(reg.labels, idx, amp, live, fit, allow_relabeling)
-    if residual:
-        return None, neutral
+    # φ lies within len(factors)·fit of the product of factors accepted
+    # within fit, 2⁻⁴⁹ · (n + 3 + its nonzero column count).
+    if state._blocks is not None:
+        fit = 2.0**-49 * (np.count_nonzero(state._values) + n + 3)
+        factors, phase, neutral = _block_factors(reg.labels, state._blocks), 1 + 0j, True
+    else:
+        try:
+            idx, amp, live = _support(_framed(reg, state._index, state._values, 0), tol)
+        except ValueError:  # nothing above the cutoff
+            return None, True
+        if live is None:  # no multi-member factor
+            return None, True
+        fit = 2.0**-49 * (amp.size + n + 3)
+        factors, residual, amp, neutral = _detect(reg.labels, idx, amp, live, fit, allow_relabeling)
+        if residual:
+            return None, neutral
+        phase = complex(amp[0])
     clusters: list[CorrelationCluster] = []
-    residual, phase, low, schmidt, own = [], complex(amp[0]), 1.0, 1.0, 0
+    residual, low, schmidt, own = [], 1.0, 1.0, 0
     for factor in factors:
         m, c = factor.size, np.array(factor.coefficients)
         k = sum((frame >> (n - 1 - reg.position(label))) & 1 for label in factor.members)
@@ -391,7 +410,11 @@ def find_clusters(
     Bell pair, an s within the bound, a φ with a residual, and a view whose
     smallest nonzero modulus, the product of the factors' closed-form minima,
     does not clear the cutoff by that margin.  The clusters are the view's
-    either way, coefficients up to rounding.
+    either way, coefficients up to rounding.  A declared product, flagged or
+    not, takes the factors of φ from its declared parts (see
+    :mod:`qmeasure.statevec`) instead of detecting them, with leftover phase
+    1: a part with two nonzero coefficients is one factor, one with a single
+    nonzero coefficient gives its members as one-member factors.
 
     The result is computed once per state and ``tol`` and kept on the state,
     which never changes.  Both modes share it when every grouping into
@@ -403,7 +426,9 @@ def find_clusters(
     if stored is not None:
         return stored
     reg = state.register
-    found, neutral = _factored(state, tol, allow_relabeling) if state._frame else (None, True)
+    found, neutral = (
+        _factored(state, tol, allow_relabeling) if state._frame or state._blocks is not None else (None, True)
+    )
     if found is None:
         clusters, residual, amp, alike = _detect(reg.labels, *_support(state, tol), tol, allow_relabeling)
         found, neutral = (clusters, residual, complex(amp[0])), neutral and alike

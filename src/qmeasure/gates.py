@@ -136,10 +136,11 @@ def rotate_basis(state: PureState, target: str) -> PureState:
     """Apply the self-inverse map ↑ → (↑+↓)/√2, ↓ → (↑−↓)/√2 on one subsystem.
 
     Measuring in Z after this rotation is the same as measuring in X before
-    it.  Only the target's basis flag flips; no amplitude is touched.
+    it.  Only the target's basis flag flips; no amplitude is touched, so φ
+    keeps its declared parts.
     """
     bit = 1 << (state.n_qubits - 1 - state.register.position(target))
-    return _framed(state.register, state._index, state._values, state._frame ^ bit)
+    return _framed(state.register, state._index, state._values, state._frame ^ bit, state._blocks)
 
 
 def apply_gate(state: PureState, op: GateOp) -> PureState:

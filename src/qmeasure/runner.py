@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -115,8 +114,8 @@ def fmt(value: float) -> str:
 def _initial_state(scenario: Scenario) -> PureState:
     """The declared state, stored as ``tensor`` chained over the declared
     states would store it: each GHZ part (one member for a single qubit)
-    built and counted against the limits by ``statevec._parts``, then one
-    product-rule fold and norm check."""
+    built and counted against the limits by ``statevec._parts``, then
+    folded, checked and given its parts by ``statevec._declared``."""
     built = statevec._parts(
         (1, decl.amplitudes, f"amplitude pair for {decl.label!r}")
         if isinstance(decl, SingleDecl)
@@ -129,8 +128,7 @@ def _initial_state(scenario: Scenario) -> PureState:
             parts.append(next(built))
         except ValueError as exc:
             raise RunError(0, decl, exc) from exc
-    _, index, values = reduce(statevec._product, parts)
-    return statevec._adopt(scenario.register, values, index)
+    return statevec._declared(scenario.register, parts)
 
 
 def _listing(state: PureState, step_basis: dict[str, str], listed: int) -> tuple[BranchSet, int]:

@@ -152,7 +152,7 @@ def _amplitude_pair(raw: Any, what: str) -> tuple[complex, complex]:
 
 
 def _label(raw: Any, what: str) -> str:
-    if not isinstance(raw, str) or not raw or any(ch.isspace() for ch in raw):
+    if not isinstance(raw, str) or raw.split() != [raw]:
         raise ScenarioError("bad-structure", f"{what}: invalid subsystem label {raw!r}")
     return raw
 
@@ -177,15 +177,7 @@ def _parse_subsystems(raw: Any) -> tuple[list[SingleDecl | GhzDecl], list[str]]:
     if not isinstance(raw, list) or not raw:
         raise ScenarioError("bad-structure", "'subsystems' must be a non-empty list")
     declarations: list[SingleDecl | GhzDecl] = []
-    order: list[str] = []
-    seen: set[str] = set()
-
-    def add(label: str, what: str) -> None:
-        if label in seen:
-            raise ScenarioError("duplicate-label", f"{what}: label {label!r} declared twice")
-        seen.add(label)
-        order.append(label)
-
+    seen: dict[str, None] = {}  # the declared labels, in order
     for i, entry in enumerate(raw):
         what = f"subsystems[{i}]"
         if not isinstance(entry, dict):
@@ -200,17 +192,21 @@ def _parse_subsystems(raw: Any) -> tuple[list[SingleDecl | GhzDecl], list[str]]:
             if not isinstance(labels_raw, list) or not labels_raw:
                 raise ScenarioError("bad-structure", f"{what}.ghz: 'labels' must be a non-empty list")
             labels = tuple(_label(lbl, f"{what}.ghz.labels[{j}]") for j, lbl in enumerate(labels_raw))
-            for lbl in labels:
-                add(lbl, f"{what}.ghz")
+            owner = f"{what}.ghz"
+        else:
+            _require(entry, ("label", "amplitudes"), what)
+            labels, owner = (_label(entry["label"], what),), what
+        for label in labels:
+            if label in seen:
+                raise ScenarioError("duplicate-label", f"{owner}: label {label!r} declared twice")
+            seen[label] = None
+        if "ghz" in entry:
             coeffs = _amplitude_pair(group["coefficients"], f"{what}.ghz.coefficients")
             declarations.append(GhzDecl(labels, coeffs))
         else:
-            _require(entry, ("label", "amplitudes"), what)
-            label = _label(entry["label"], what)
-            add(label, what)
             amps = _amplitude_pair(entry["amplitudes"], f"{what}.amplitudes")
-            declarations.append(SingleDecl(label, amps))
-    return declarations, order
+            declarations.append(SingleDecl(labels[0], amps))
+    return declarations, list(seen)
 
 
 def _parse_basis(raw: Any, what: str, declared: set[str]) -> dict[str, str]:

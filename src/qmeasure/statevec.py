@@ -31,6 +31,15 @@ amplitudes beats a strided pass, and never more than that share of
 2^``DENSE_MAX_QUBITS`` (2^20): over more qubits, where no dense vector can
 take over, a larger index is refused as the dense vector would be.
 
+A declared product, built by :func:`product_state`, :func:`make_ghz` or the
+runner's declared state through :func:`_declared`, also keeps its parts as
+``_blocks``: one ``(m, (c_up, c_down))`` per GHZ part, normalized, whose
+product in register order is its stored amplitudes.  The basis rotation
+keeps them, as it leaves those amplitudes as they are; every other
+constructor gives ``None``: the other gates, :func:`tensor`, the dense
+oracle and ``PureState(...)``.  Cluster detection reads such a state's
+factors off them.
+
 Every state also carries a per-qubit basis frame, a bitmask with the bit
 order of the amplitude index: the state is H^frame · φ, where H is the
 ↑/↓ ↔ →/← rotation on each flagged qubit and φ is the stored support index
@@ -51,6 +60,7 @@ qubits is built; asking for one raises :class:`DenseLimitError`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property, reduce
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -139,7 +149,7 @@ class Register:
         for label in self.labels:
             if not isinstance(label, str) or not label:
                 raise ValueError(f"invalid subsystem label: {label!r}")
-            if any(ch.isspace() for ch in label):
+            if label.split() != [label]:
                 raise ValueError(f"subsystem label may not contain whitespace: {label!r}")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"duplicate subsystem labels in register: {self.labels}")
@@ -173,8 +183,20 @@ def as_register(labels: "Register | Iterable[str]") -> Register:
     return Register(tuple(labels))
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex array, bit for bit, by the same
+    arithmetic without its dispatch, which weighs on arrays of a few values."""
+    v = v.ravel(order="K")
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _adopt(
-    register: Register, arr: np.ndarray, index: np.ndarray | None = None, frame: int = 0
+    register: Register,
+    arr: np.ndarray,
+    index: np.ndarray | None = None,
+    frame: int = 0,
+    blocks: tuple | None = None,
 ) -> "PureState":
     """Wrap freshly allocated complex128 data as a state without re-copying.
 
@@ -185,23 +207,28 @@ def _adopt(
     ``arr`` as its stored values (``_values``); the norm invariant is still
     enforced over them, but the copy and finiteness scan are skipped because
     unitary kernels and products of validated states preserve both, and the
-    arrays are owned by the caller.
+    arrays are owned by the caller.  ``blocks`` are φ's declared parts, given
+    only by :func:`_declared` (see the module docstring).
     """
     if index is not None:
         index.setflags(write=False)
-    norm = float(np.linalg.norm(arr))
+    norm = _norm(arr)
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state norm {norm!r} is off unity by more than {NORM_TOL}")
     arr.setflags(write=False)
-    return _framed(register, index, arr, frame)
+    return _framed(register, index, arr, frame, blocks)
 
 
 def _framed(
-    register: Register, index: np.ndarray | None, values: np.ndarray, frame: int
+    register: Register,
+    index: np.ndarray | None,
+    values: np.ndarray,
+    frame: int,
+    blocks: tuple | None = None,
 ) -> "PureState":
     """The state H^frame · φ over read-only stored amplitudes, unchecked."""
     state = object.__new__(PureState)
-    state.__dict__.update(register=register, _index=index, _values=values, _frame=frame)
+    state.__dict__.update(register=register, _index=index, _values=values, _frame=frame, _blocks=blocks)
     return state
 
 
@@ -226,11 +253,11 @@ class PureState:
             )
         if not np.all(np.isfinite(arr.view(np.float64))):
             raise ValueError("amplitudes must be finite (no NaN/Inf)")
-        norm = float(np.linalg.norm(arr))
+        norm = _norm(arr)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm!r} is off unity by more than {NORM_TOL}")
         arr.setflags(write=False)
-        self.__dict__.update(register=register, _index=None, _values=arr, _frame=0)
+        self.__dict__.update(register=register, _index=None, _values=arr, _frame=0, _blocks=None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -261,7 +288,7 @@ class PureState:
         return 2**self.n_qubits
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self._values))
+        return _norm(self._values)
 
     def __repr__(self) -> str:
         return f"PureState(register={self.register.labels}, dim={self.dim})"
@@ -357,14 +384,19 @@ def normalize_basis(basis: BasisChoice, register: Register) -> tuple[str, ...]:
 def _normalized_pair(pair: Sequence[complex], what: str) -> np.ndarray:
     # Scaling by the power of two of the largest part first is exact, and it
     # keeps the norm of pairs like (1e308, 1e308) or (1e-320, 1e-320) finite.
-    parts = np.array([pair[0], pair[1]], dtype=np.complex128).view(np.float64)
-    if not np.all(np.isfinite(parts)):
+    try:
+        a, b = complex(pair[0]), complex(pair[1])
+    except TypeError:  # None or a sequence: converted, or refused, as numpy does
+        a, b = np.array([pair[0], pair[1]], dtype=np.complex128).tolist()
+    parts = (a.real, a.imag, b.real, b.imag)
+    if not all(map(math.isfinite, parts)):
         raise ValueError(f"{what} must be finite")
-    peak = np.max(np.abs(parts))
+    peak = max(map(abs, parts))
     if peak == 0.0:
         raise ValueError(f"{what} must not be all zero")
-    vec = np.ldexp(parts, -np.frexp(peak)[1]).view(np.complex128)
-    return vec / np.linalg.norm(vec)
+    scale = -math.frexp(peak)[1]
+    vec = np.array([complex(math.ldexp(z.real, scale), math.ldexp(z.imag, scale)) for z in (a, b)])
+    return vec / _norm(vec)
 
 
 def product_state(
@@ -383,8 +415,7 @@ def product_state(
         )
     shapes = ((1, pair, f"amplitude pair for {label!r}")
               for label, pair in zip(reg.labels, per_qubit))
-    _, index, values = reduce(_product, list(_parts(shapes)))
-    return _adopt(reg, values, index)
+    return _declared(reg, list(_parts(shapes)))
 
 
 def basis_state(register: "Register | Iterable[str]", symbols: str) -> PureState:
@@ -415,8 +446,7 @@ def make_ghz(
     reg = as_register(labels)
     if len(coefficients) != 2:
         raise ValueError("make_ghz takes exactly two coefficients (qubit registers)")
-    [(_, index, values)] = _parts([(len(reg), coefficients, "GHZ coefficient vector")])
-    return _adopt(reg, values, index)
+    return _declared(reg, list(_parts([(len(reg), coefficients, "GHZ coefficient vector")])))
 
 
 def _parts(shapes: Iterable[tuple[int, Sequence[complex], str]]) -> Iterator[tuple]:
@@ -435,6 +465,16 @@ def _parts(shapes: Iterable[tuple[int, Sequence[complex], str]]) -> Iterator[tup
         if size > _sparse_limit(width):
             _check_dense(width)
         yield part
+
+
+def _declared(register: Register, parts: Sequence[tuple]) -> PureState:
+    """The product of GHZ parts built by :func:`_parts`, in register order:
+    folded by the one product rule and adopted, with each part's member
+    count and normalized coefficients, at its first and last stored
+    position, kept as the state's ``_blocks``."""
+    _, index, values = reduce(_product, parts)
+    blocks = tuple((m, (complex(v[0]), complex(v[-1]))) for m, _, v in parts)
+    return _adopt(register, values, index, 0, blocks)
 
 
 def _ghz_part(m: int, coeffs: np.ndarray) -> tuple:

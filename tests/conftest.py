@@ -129,6 +129,12 @@ def detections(monkeypatch) -> list:
     return calls
 
 
+def stripped(state: PureState) -> PureState:
+    """The same state without its declared parts, whose cluster detection
+    detects the factors of φ instead of reading them off the parts."""
+    return statevec._framed(state.register, state._index, state._values, state._frame)
+
+
 def dense_twin(state: PureState) -> PureState:
     """The state's Z-frame amplitudes as an unflagged dense state, whose
     cluster detection always reads the full view."""

@@ -29,7 +29,7 @@ from qmeasure.protocol import (
     corrected_measure,
     uncorrected_measure,
 )
-from qmeasure.runner import RunError, run
+from qmeasure.runner import RunError, _initial_state, run
 from qmeasure.scenario import parse_scenario
 from qmeasure.statevec import (
     BranchSet,
@@ -51,6 +51,7 @@ from conftest import (
     random_state,
     read_concurrently,
     scenario_state,
+    stripped,
 )
 
 
@@ -1037,8 +1038,8 @@ class TestStoredDecompositions:
                 assert answer_bits(state, tol, relabel) == answer_bits(build(), tol, relabel)
 
     def test_a_corrected_z_run_detects_each_state_once(self, detections):
-        # the ledger's read of the declared state serves the environment
-        # check, so three reads take two detections
+        # the ledger reads the declared state off its parts and serves the
+        # environment check, so three reads take one detection
         report = run_next_to_a_ghz(
             {"op": "ledger", "tag": "before"},
             {"op": "corrected_measure", "signal": "s", "observer": "o", "environment": ENV, "basis": "Z"},
@@ -1046,14 +1047,15 @@ class TestStoredDecompositions:
         )
         ledgers = [section for section in report.sections if "ledger" in section.title]
         assert [section.rows[-1] for section in ledgers] == [("total", "7")] * 2
-        assert len(detections) == 2
+        assert len(detections) == 1
 
-    def test_an_env_reject_run_detects_once(self, detections):
+    def test_an_env_reject_run_detects_nothing(self, detections):
+        # the rotated declared state is read off its parts
         with pytest.raises(RunError, match="carry no GHZ structure"):
             run_next_to_a_ghz(
                 {"op": "corrected_measure", "signal": "s", "observer": "o", "environment": ENV, "basis": "X"}
             )
-        assert len(detections) == 1
+        assert len(detections) == 0
 
     def test_modes_that_group_a_flipped_pair_apart_detect_apart(self, detections):
         # |↑↓⟩ and |↓↑⟩: one class in relabeling mode, two otherwise
@@ -1077,6 +1079,89 @@ class TestStoredDecompositions:
             return {relabel: answer_bits(state, DEFAULT_TOL, relabel) for relabel in order}
 
         assert read_concurrently(read) == [want] * 4
+
+
+# Declared blocks: the runner's declared state keeps its GHZ parts, and
+# cluster detection reads the factors of its stored amplitudes φ off them.
+
+TOLS = [1e-12, 1e-9, 1e-6, 1e-3, 0.3]
+
+
+def declared_doc(gen, n):
+    """Single qubits and GHZ parts of m = 1…6 over at most n qubits, with
+    generic coefficients, a zero one, or one whose modulus lies within a
+    decade of a tolerance; at most ten parts with two nonzero coefficients,
+    so that φ lists at most 2^10 positions."""
+    subsystems, width, spread = [], 0, 0
+    while width < n:
+        m = min(int(gen.integers(1, 7)), n - width)
+        pair = gen.normal(size=2) + 1j * gen.normal(size=2)
+        kind = gen.integers(3) if spread < 10 else 1
+        if kind == 1:
+            pair[gen.integers(2)] = 0
+        elif kind == 2:
+            j = gen.integers(2)
+            pair[j] *= gen.choice(TOLS) * 10.0 ** gen.uniform(-1, 1) / abs(pair[j]) * abs(pair[1 - j])
+        spread += bool(pair.all())
+        coefficients = [[z.real, z.imag] for z in pair.tolist()]
+        names = [f"q{width + j}" for j in range(m)]
+        if m == 1 and gen.random() < 0.5:
+            subsystems.append({"label": names[0], "amplitudes": coefficients})
+        else:
+            subsystems.append({"ghz": {"labels": names, "coefficients": coefficients}})
+        width += m
+    return {"subsystems": subsystems}
+
+
+def decomposition_or_error(find, state, tol, relabel):
+    try:
+        return find(state, tol, relabel)
+    except ValueError as error:
+        return str(error)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 20),
+    mask=st.integers(0, 2**20 - 1),
+    tols=st.lists(st.sampled_from(TOLS), min_size=2, max_size=2, unique=True),
+)
+# Bell pairs read in X, and a GHZ part whose small coefficient sits near the cutoff
+@example(seed=0, n=2, mask=0b11, tols=[1e-9, 0.3])
+@example(seed=3, n=6, mask=0b111111, tols=[1e-9, 1e-12])
+def test_declared_blocks_match_detection(seed, n, mask, tols):
+    gen = np.random.default_rng(seed)
+    state = _initial_state(parse_scenario(json.dumps(declared_doc(gen, n))))
+    n = state.n_qubits
+    # the parts multiply to φ in register order, up to rounding
+    if n <= 10:
+        phi = state._values if state._index is None else statevec._scatter(n, state._index, state._values)
+        product = np.ones(1, dtype=complex)
+        for m, (c_up, c_down) in state._blocks:
+            part = np.zeros(2**m, dtype=complex)
+            part[[0, -1]] = c_up, c_down
+            product = np.multiply.outer(product, part).reshape(-1)
+        assert np.max(np.abs(product - phi)) <= 1e-15
+    for pos in range(n):
+        if (mask >> pos) & 1:
+            state = rotate_basis(state, state.register.labels[pos])
+    bare = stripped(state)
+    assert state._blocks is not None and bare._blocks is None
+    for tol in tols:
+        for relabel in (False, True):
+            got = decomposition_or_error(find_clusters, state, tol, relabel)
+            wants = [decomposition_or_error(find_clusters, bare, tol, relabel)]
+            if n <= 10:
+                wants.append(decomposition_or_error(dense_find_clusters, state, tol, relabel))
+            for want in wants:
+                if isinstance(want, str):
+                    assert got == want
+                    continue
+                assert_same_clusters(got, want)
+                assert [cluster_measure(c, tol) for c in got.clusters] == [
+                    cluster_measure(c, tol) for c in want.clusters
+                ]
 
 
 # Cluster detection on a full support: every one of the 2^n positions is a

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmeasure import statevec
-from qmeasure.gates import rotate_basis
+from qmeasure.gates import RotateBasis, imprint, inverse_imprint, rotate_basis, swap
+from qmeasure.oracle import oracle_apply
+from qmeasure.runner import _initial_state
+from qmeasure.scenario import parse_scenario
 from qmeasure.statevec import (
     DENSE_MAX_QUBITS,
     MAX_QUBITS,
@@ -158,6 +162,97 @@ class TestMakeGhz:
             make_ghz(("e1",), (0, 0))
         with pytest.raises(ValueError, match="two"):
             make_ghz(("e1",), (1, 0, 0))
+
+
+def numpy_normalized_pair(pair, what):
+    """Normalization of an amplitude pair by numpy's array arithmetic, which
+    ``statevec._normalized_pair`` matches bit for bit."""
+    parts = np.array([pair[0], pair[1]], dtype=np.complex128).view(np.float64)
+    if not np.all(np.isfinite(parts)):
+        raise ValueError(f"{what} must be finite")
+    peak = np.max(np.abs(parts))
+    if peak == 0.0:
+        raise ValueError(f"{what} must not be all zero")
+    vec = np.ldexp(parts, -np.frexp(peak)[1]).view(np.complex128)
+    return vec / np.linalg.norm(vec)
+
+
+def normalized_bytes(normalize, pair):
+    try:
+        return normalize(pair, "pair").tobytes()
+    except ValueError as error:
+        return str(error)
+
+
+#: Parts at the edges of the double range, signed zeros and non-finite ones.
+EDGE_PARTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-200, 0.5, 1.0, -1.0, 1e200, 1e308,
+              -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+class TestNormalizedPair:
+    def test_matches_the_numpy_arithmetic_to_the_bit(self):
+        # generic pairs, pairs spread over the double range, and either with
+        # edge parts mixed in; some as a float and a numpy scalar
+        gen = np.random.default_rng(2026)
+        for i in range(20000):
+            with np.errstate(over="ignore"):  # infinite parts are among the cases
+                parts = gen.normal(size=4) * (10.0 ** gen.integers(-320, 309, size=4) if i % 3 else 1.0)
+            edge = gen.random(4) < (0.5 if i % 2 else 0.0)
+            parts = np.where(edge, gen.choice(EDGE_PARTS, size=4), parts).tolist()
+            pair = (complex(parts[0], parts[1]), complex(parts[2], parts[3]))
+            if i % 5 == 0:
+                pair = (parts[0], np.complex128(pair[1]))
+            want = normalized_bytes(numpy_normalized_pair, pair)
+            assert normalized_bytes(statevec._normalized_pair, pair) == want, pair
+
+    @pytest.mark.parametrize("entry", [None, [1, 2], (1, 2)])
+    def test_entries_numpy_refuses_raise_value_error(self, entry):
+        with pytest.raises(ValueError):
+            statevec._normalized_pair((entry, 1), "pair")
+
+    @pytest.mark.parametrize("pair", [("1+2j", 1), (np.int64(3), np.float32(0.1)), (True, 0)])
+    def test_strings_and_numpy_scalars_convert_as_numpy_converts_them(self, pair):
+        assert normalized_bytes(statevec._normalized_pair, pair) == normalized_bytes(numpy_normalized_pair, pair)
+
+
+def declared_state():
+    """s = (0.6, 0.8i), o = |↑⟩ and a GHZ over e1, e2, e3 with (1, 2),
+    declared through the scenario front end."""
+    return _initial_state(parse_scenario(
+        '{"subsystems": [{"label": "s", "amplitudes": [[0.6, 0], [0, 0.8]]},'
+        ' {"label": "o", "amplitudes": [[1, 0], [0, 0]]},'
+        ' {"ghz": {"labels": ["e1", "e2", "e3"], "coefficients": [[1, 0], [2, 0]]}}]}'
+    ))
+
+
+class TestDeclaredBlocks:
+    def test_declared_products_keep_their_normalized_parts(self):
+        pairs = [(0.6, 0.8j), (1, 0), (1, 2)]
+        blocks = tuple(
+            (m, tuple(statevec._normalized_pair(pair, "pair").tolist())) for m, pair in zip((1, 1, 3), pairs)
+        )
+        assert declared_state()._blocks == blocks
+        assert product_state(("s", "o"), pairs[:2])._blocks == blocks[:2]
+        assert make_ghz(("e1", "e2", "e3"), pairs[2])._blocks == blocks[2:]
+        assert basis_state(("a", "b"), "↑↓")._blocks == ((1, (1, 0)), (1, (0, 1)))
+
+    def test_the_rotation_keeps_them_and_every_other_constructor_drops_them(self):
+        state = declared_state()
+        rotated = rotate_basis(rotate_basis(state, "s"), "e2")
+        assert rotated._blocks is state._blocks
+        dropped = [
+            imprint(state, "s", "e1"),
+            imprint(rotated, "s", "e2"),
+            inverse_imprint(rotated, "e2", "e1"),
+            swap(state, "o", "e3"),
+            swap(rotated, "s", "o"),
+            tensor(state, product_state(("x",), [(1, 0)])),
+            tensor(product_state(("x",), [(1, 0)]), rotated),
+            oracle_apply(state, [RotateBasis("s")]),
+            PureState(state.register, state.amplitudes),
+            from_branches(branch_decompose(rotated, "X")),
+        ]
+        assert [other._blocks for other in dropped] == [None] * len(dropped)
 
 
 class TestTensor:
