@@ -16,8 +16,8 @@ branch structure suggests:
 
 A state with basis flags, H^frame · φ, is read off the factors of its stored
 amplitudes φ first, and its Z view only where they do not decide it.  So is
-a declared product with or without flags, whose factors of φ are its
-declared parts, in closed form, with no detection on φ.
+a state that carries declared parts (:mod:`qmeasure.statevec`), flags or
+not, whose factors of φ are those parts, in closed form, with no detection.
 
 A state's decomposition is computed once per tolerance and kept on the
 state.  Relabeling mode and the plain mode share it unless a grouping made
@@ -30,13 +30,14 @@ resource moves through a measurement procedure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .statevec import DENSE_MAX_QUBITS, X_SYMBOLS, Z_SYMBOLS, BranchSet, PureState
-from .statevec import _bit_matrix, _frame_view, _framed, _halves, _norm, _rotate_axis
+from .statevec import _INV_SQRT2, _bit_matrix, _frame_view, _framed, _halves, _norm
 
 #: Default detection tolerance.  Two roles: the cutoff on |amplitude| of the
 #: support the candidate clusters are read from, and the relative 2-norm
@@ -282,36 +283,36 @@ def _own_view(
     two positions, or None where nothing is above the cutoff: in closed form,
     as ``_detect`` reads it but with no fit test (``_factored``), the factor
     for two live coefficients, its members as constant singletons for one."""
-    c = np.array(factor.coefficients)
-    if flagged:  # a flagged singleton
-        _rotate_axis(c, 0)
-    c_up, c_down = (z if abs(z) > tol else 0j for z in c.tolist())
+    c_up, c_down = factor.coefficients
+    if flagged:  # a flagged singleton, turned as _rotate_axis turns it
+        c_up, c_down = (c_up + c_down) * _INV_SQRT2, (c_up - c_down) * _INV_SQRT2
+    c_up, c_down = (z if abs(z) > tol else 0j for z in (c_up, c_down))
     a_up, a_down = abs(c_up), abs(c_down)
     if not a_up + a_down:
         return None
     r = c_down / a_down if a_down > a_up * (1.0 + _PICK_MARGIN) else c_up / a_up
     if a_up and a_down:
-        return [replace(factor, coefficients=(r.conjugate() * c_up, r.conjugate() * c_down))], r
+        return [CorrelationCluster(factor.members, (r.conjugate() * c_up, r.conjugate() * c_down), factor.flips)], r
     weights = [r.conjugate() * (c_up or c_down)] + [1 + 0j] * (factor.size - 1)
     return [CorrelationCluster((member,), (0j, w) if flip ^ bool(a_down) else (w, 0j), (False,))
             for member, flip, w in zip(factor.members, factor.flips, weights)], r
 
 
-def _block_factors(labels: Sequence[str], blocks: tuple) -> list[CorrelationCluster]:
-    """The factors of φ read off its declared parts, in register order: a
-    part with two nonzero coefficients is one factor, and one with a single
-    nonzero coefficient gives its members as one-member factors, that
-    coefficient on the first and 1 on the rest, as ``_detect`` peels a
-    constant class."""
-    factors, start = [], 0
-    for m, (c_up, c_down) in blocks:
-        members, start = tuple(labels[start : start + m]), start + m
+def _block_factors(labels: Sequence[str], blocks: tuple) -> list[tuple[tuple[int, ...], CorrelationCluster]]:
+    """The factors of φ read off its declared parts, each with its member
+    positions: a part with two nonzero coefficients is one factor, and one
+    with a single nonzero coefficient gives its members as one-member
+    factors, that coefficient on the first and 1 on the rest, as ``_detect``
+    peels a constant class."""
+    factors = []
+    for positions, (c_up, c_down) in blocks:
+        members = tuple(labels[p] for p in positions)
         if c_up and c_down:
-            factors.append(CorrelationCluster(members, (c_up, c_down), (False,) * m))
+            factors.append((positions, CorrelationCluster(members, (c_up, c_down), (False,) * len(members))))
             continue
-        weights = [c_up or c_down] + [1 + 0j] * (m - 1)
-        factors += [CorrelationCluster((member,), (w, 0j) if c_up else (0j, w), (False,))
-                    for member, w in zip(members, weights)]
+        weights = [c_up or c_down] + [1 + 0j] * (len(members) - 1)
+        factors += [((p,), CorrelationCluster((member,), (w, 0j) if c_up else (0j, w), (False,)))
+                    for p, member, w in zip(positions, members, weights)]
     return factors
 
 
@@ -337,22 +338,23 @@ def _factored(
         if live is None:  # no multi-member factor
             return None, True
         fit = 2.0**-49 * (amp.size + n + 3)
-        factors, residual, amp, neutral = _detect(reg.labels, idx, amp, live, fit, allow_relabeling)
+        detected, residual, amp, neutral = _detect(reg.labels, idx, amp, live, fit, allow_relabeling)
         if residual:
             return None, neutral
+        factors = [(tuple(map(reg.position, c.members)), c) for c in detected]
         phase = complex(amp[0])
     clusters: list[CorrelationCluster] = []
     residual, low, schmidt, own = [], 1.0, 1.0, 0
-    for factor in factors:
-        m, c = factor.size, np.array(factor.coefficients)
-        k = sum((frame >> (n - 1 - reg.position(label))) & 1 for label in factor.members)
-        u = c / np.hypot(*np.abs(c))
-        w = 2.0 ** (-k / 2) * np.abs([u[0] + u[1], u[0] - u[1]] if k == m else u)
-        low *= w[w > 0].min()  # the factor's smallest nonzero modulus in the view
+    for positions, factor in factors:
+        (c_up, c_down), m = factor.coefficients, factor.size
+        k = sum((frame >> (n - 1 - p)) & 1 for p in positions)
+        u_up, u_down = (z / math.hypot(abs(c_up), abs(c_down)) for z in (c_up, c_down))
+        w = [2.0 ** (-k / 2) * abs(z) for z in ((u_up + u_down, u_up - u_down) if k == m else (u_up, u_down))]
+        low *= min(x for x in w if x > 0)  # the factor's smallest nonzero modulus in the view
         if m > 1 and k:  # no peel of its view errs by less than its Schmidt coefficient
-            if m == 2 == k and not w.all():  # a Bell pair read in X
+            if m == 2 == k and not all(w):  # a Bell pair read in X
                 return None, neutral
-            schmidt = min(schmidt, np.abs(u).min())
+            schmidt = min(schmidt, abs(u_up), abs(u_down))
             residual += factor.members
             continue
         viewed = _own_view(factor, bool(k), tol)
@@ -410,8 +412,8 @@ def find_clusters(
     Bell pair, an s within the bound, a φ with a residual, and a view whose
     smallest nonzero modulus, the product of the factors' closed-form minima,
     does not clear the cutoff by that margin.  The clusters are the view's
-    either way, coefficients up to rounding.  A declared product, flagged or
-    not, takes the factors of φ from its declared parts (see
+    either way, coefficients up to rounding.  A state that carries declared
+    parts, flagged or not, takes the factors of φ from them (see
     :mod:`qmeasure.statevec`) instead of detecting them, with leftover phase
     1: a part with two nonzero coefficients is one factor, one with a single
     nonzero coefficient gives its members as one-member factors.
@@ -436,8 +438,8 @@ def find_clusters(
     if clusters and not residual:
         # The leftover is a phase; fold it into the last cluster so the
         # product of cluster states equals the input exactly.
-        c_up, c_down = clusters[-1].coefficients
-        clusters[-1] = replace(clusters[-1], coefficients=(c_up * phase, c_down * phase))
+        last = clusters[-1]
+        clusters[-1] = CorrelationCluster(last.members, tuple(c * phase for c in last.coefficients), last.flips)
     residual.sort(key=reg.position)
     decomposition = ClusterDecomposition(tuple(clusters), tuple(residual))
     for mode in (allow_relabeling, not allow_relabeling) if neutral else (allow_relabeling,):

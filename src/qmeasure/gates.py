@@ -13,6 +13,12 @@ stored amplitudes φ:
   (H⊗H)·imprint(a→b)·(H⊗H) = imprint(b→a), and when only one is flagged,
   that flag is cleared first, which at most doubles the support.
 
+A declared product's GHZ parts (see :mod:`qmeasure.statevec`) survive the
+rotation; the swap relabels them; the imprint on the operands it permutes
+φ with takes a target out of the source's part, fires nothing from a part
+reading ↑ throughout, or joins a target whose part reads ↑ throughout to a
+two-branch source part, and otherwise, or when it clears a flag, drops them.
+
 Kernels work on the support index when φ has one, moving only the indexed
 amplitudes, and otherwise by strided slicing of the dense vector (the
 stride is fixed by the operand's register position), never by building
@@ -25,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevec import PureState, _adopt, _framed, _rotated
+from .statevec import PureState, _adopt, _framed, _imprinted, _rotated, _swapped
 
 
 @dataclass(frozen=True)
@@ -76,10 +82,10 @@ class RotateBasis:
 GateOp = Imprint | InverseImprint | Swap | RotateBasis
 
 
-def _moved(state: PureState, to: np.ndarray, frame: int) -> PureState:
+def _moved(state: PureState, to: np.ndarray, frame: int, blocks: tuple | None) -> PureState:
     """The state whose amplitudes at its support index move to ``to``."""
     order = np.argsort(to)
-    return _adopt(state.register, state._values[order], to[order], frame)
+    return _adopt(state.register, state._values[order], to[order], frame, blocks)
 
 
 def imprint(state: PureState, source: str, target: str) -> PureState:
@@ -98,15 +104,15 @@ def imprint(state: PureState, source: str, target: str) -> PureState:
         state = _adopt(reg, values, index, state._frame ^ bit)
     elif flagged[0]:  # (H⊗H)·imprint(a→b)·(H⊗H) = imprint(b→a)
         ps, pt = pt, ps
-    index = state._index
+    index, blocks = state._index, state._blocks and _imprinted(state._blocks, ps, pt)
     if index is not None:
         fired = (index >> (n - 1 - ps)) & 1
-        return _moved(state, index ^ (fired << (n - 1 - pt)), state._frame)
+        return _moved(state, index ^ (fired << (n - 1 - pt)), state._frame, blocks)
     psi = state._values.reshape([2] * n)
     out = psi.copy()
     fired = (slice(None),) * ps + (1,)  # the half where the source is ↓
     out[fired] = np.flip(psi[fired], pt - (pt > ps))
-    return _adopt(reg, out.reshape(-1), None, state._frame)
+    return _adopt(reg, out.reshape(-1), None, state._frame, blocks)
 
 
 def inverse_imprint(state: PureState, source: str, target: str) -> PureState:
@@ -124,12 +130,12 @@ def swap(state: PureState, a: str, b: str) -> PureState:
     frame = state._frame
     if ((frame >> sa) ^ (frame >> sb)) & 1:
         frame ^= (1 << sa) | (1 << sb)
-    index = state._index
+    index, blocks = state._index, state._blocks and _swapped(state._blocks, pa, pb)
     if index is not None:
         differ = ((index >> sa) ^ (index >> sb)) & 1
-        return _moved(state, index ^ ((differ << sa) | (differ << sb)), frame)
+        return _moved(state, index ^ ((differ << sa) | (differ << sb)), frame, blocks)
     psi = state._values.reshape([2] * n)
-    return _adopt(reg, np.swapaxes(psi, pa, pb).reshape(-1), None, frame)
+    return _adopt(reg, np.swapaxes(psi, pa, pb).reshape(-1), None, frame, blocks)
 
 
 def rotate_basis(state: PureState, target: str) -> PureState:
@@ -157,15 +163,20 @@ def apply_gate(state: PureState, op: GateOp) -> PureState:
 
 
 def apply_script(state: PureState, script: Sequence[GateOp]) -> PureState:
-    """Apply gates left to right in list order.
+    """Apply gates left to right in list order, a run of rotations at once.
 
     The first invalid gate aborts with its error; since states are values the
     caller's input is never touched.
     """
-    out = state
+    out, flip = state, 0
     for op in script:
+        if isinstance(op, RotateBasis):
+            flip ^= 1 << (out.n_qubits - 1 - out.register.position(op.target))
+            continue
+        if flip:
+            out, flip = _framed(out.register, out._index, out._values, out._frame ^ flip, out._blocks), 0
         out = apply_gate(out, op)
-    return out
+    return _framed(out.register, out._index, out._values, out._frame ^ flip, out._blocks) if flip else out
 
 
 def invert_script(script: Sequence[GateOp]) -> list[GateOp]:

@@ -33,12 +33,11 @@ take over, a larger index is refused as the dense vector would be.
 
 A declared product, built by :func:`product_state`, :func:`make_ghz` or the
 runner's declared state through :func:`_declared`, also keeps its parts as
-``_blocks``: one ``(m, (c_up, c_down))`` per GHZ part, normalized, whose
-product in register order is its stored amplitudes.  The basis rotation
-keeps them, as it leaves those amplitudes as they are; every other
-constructor gives ``None``: the other gates, :func:`tensor`, the dense
-oracle and ``PureState(...)``.  Cluster detection reads such a state's
-factors off them.
+``_blocks``: one ``(sorted member positions, (c_up, c_down))`` per GHZ
+part, normalized, whose product is its stored amplitudes.  The gates carry
+them while φ stays such a product (:func:`_swapped`, :func:`_imprinted`,
+:mod:`qmeasure.gates`); :func:`tensor`, the dense oracle and
+``PureState(...)`` give ``None``.  Cluster detection reads their factors.
 
 Every state also carries a per-qubit basis frame, a bitmask with the bit
 order of the amplitude index: the state is H^frame · φ, where H is the
@@ -63,6 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property, reduce
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -99,7 +99,7 @@ UP, DOWN, RIGHT, LEFT = "↑", "↓", "→", "←"
 Z_SYMBOLS = (UP, DOWN)
 X_SYMBOLS = (RIGHT, LEFT)
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 #: A basis choice is "Z" (computational ↑/↓) or "X" (→/←), given either as
 #: one string applied uniformly or as a mapping covering every register label.
@@ -207,8 +207,8 @@ def _adopt(
     ``arr`` as its stored values (``_values``); the norm invariant is still
     enforced over them, but the copy and finiteness scan are skipped because
     unitary kernels and products of validated states preserve both, and the
-    arrays are owned by the caller.  ``blocks`` are φ's declared parts, given
-    only by :func:`_declared` (see the module docstring).
+    arrays are owned by the caller.  ``blocks`` are φ's declared parts (see
+    the module docstring).
     """
     if index is not None:
         index.setflags(write=False)
@@ -469,12 +469,37 @@ def _parts(shapes: Iterable[tuple[int, Sequence[complex], str]]) -> Iterator[tup
 
 def _declared(register: Register, parts: Sequence[tuple]) -> PureState:
     """The product of GHZ parts built by :func:`_parts`, in register order:
-    folded by the one product rule and adopted, with each part's member
-    count and normalized coefficients, at its first and last stored
+    folded by the one product rule and adopted, with each part's range of
+    positions and normalized coefficients, at its first and last stored
     position, kept as the state's ``_blocks``."""
     _, index, values = reduce(_product, parts)
-    blocks = tuple((m, (complex(v[0]), complex(v[-1]))) for m, _, v in parts)
+    blocks = tuple((tuple(range(end - m, end)), (complex(v[0]), complex(v[-1])))
+                   for end, (m, _, v) in zip(accumulate(m for m, _, _ in parts), parts))
     return _adopt(register, values, index, 0, blocks)
+
+
+def _swapped(blocks: tuple, a: int, b: int) -> tuple:
+    """φ's parts after a swap of positions a and b: relabeled."""
+    to = {a: b, b: a}
+    return tuple((tuple(sorted(to.get(p, p) for p in members)), c) for members, c in blocks)
+
+
+def _imprinted(blocks: tuple, source: int, target: int) -> tuple | None:
+    """φ's parts after an imprint of position ``source`` on ``target`` (see
+    :mod:`qmeasure.gates`), or None where φ is no longer a product of them."""
+    src, tgt = (next(part for part in blocks if p in part[0]) for p in (source, target))
+    kept = tuple(part for part in blocks if part is not src and part is not tgt)
+    left = tuple(p for p in tgt[0] if p != target)
+    (c_up, c_down), (t_up, t_down) = src[1], tgt[1]
+    if src is tgt:  # the target leaves as |↑⟩
+        moved = ((target,), (1 + 0j, 0j))
+    elif not c_down:
+        return blocks
+    elif not c_up or t_down:
+        return None
+    else:  # the target joins, with its part's phase if it was all of it
+        moved = (tuple(sorted((*src[0], target))), src[1] if left else (t_up * c_up, t_up * c_down))
+    return (*kept, (left, tgt[1]), moved) if left else (*kept, moved)
 
 
 def _ghz_part(m: int, coeffs: np.ndarray) -> tuple:

@@ -135,6 +135,27 @@ def stripped(state: PureState) -> PureState:
     return statevec._framed(state.register, state._index, state._values, state._frame)
 
 
+def parts_product(state: PureState) -> np.ndarray:
+    """The dense vector a state's declared parts multiply to: each part
+    c_up on its members' all-↑ pattern and c_down on their all-↓ one,
+    folded in the parts' order.  The parts must cover the register once."""
+    n = state.n_qubits
+    assert sorted(p for positions, _ in state._blocks for p in positions) == list(range(n))
+    index, values = np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)
+    for positions, pair in state._blocks:
+        mask = sum(1 << (n - 1 - p) for p in positions)
+        index = (index[:, None] | np.array([0, mask])).reshape(-1)
+        values = np.multiply.outer(values, pair).reshape(-1)
+    return statevec._scatter(n, index, values)
+
+
+def stored_dense(state: PureState) -> np.ndarray:
+    """The stored amplitudes φ as a dense vector."""
+    if state._index is None:
+        return state._values
+    return statevec._scatter(state.n_qubits, state._index, state._values)
+
+
 def dense_twin(state: PureState) -> PureState:
     """The state's Z-frame amplitudes as an unflagged dense state, whose
     cluster detection always reads the full view."""

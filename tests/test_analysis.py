@@ -22,7 +22,7 @@ from qmeasure.analysis import (
     recover_record,
     total_measure,
 )
-from qmeasure.gates import imprint, rotate_basis, swap
+from qmeasure.gates import imprint, inverse_imprint, rotate_basis, swap
 from qmeasure.protocol import (
     EnvironmentNotGHZError,
     MeasurementOutcomeSpec,
@@ -47,10 +47,12 @@ from conftest import (
     assert_same_clusters,
     dense_twin,
     labels,
+    parts_product,
     random_pair,
     random_state,
     read_concurrently,
     scenario_state,
+    stored_dense,
     stripped,
 )
 
@@ -1037,9 +1039,10 @@ class TestStoredDecompositions:
                                  (tols[1], not first), (tols[1], first)):
                 assert answer_bits(state, tol, relabel) == answer_bits(build(), tol, relabel)
 
-    def test_a_corrected_z_run_detects_each_state_once(self, detections):
+    def test_a_corrected_z_run_detects_nothing(self, detections):
         # the ledger reads the declared state off its parts and serves the
-        # environment check, so three reads take one detection
+        # environment check, and the gates carry the parts to the measured
+        # state, so the three reads take no detection
         report = run_next_to_a_ghz(
             {"op": "ledger", "tag": "before"},
             {"op": "corrected_measure", "signal": "s", "observer": "o", "environment": ENV, "basis": "Z"},
@@ -1047,7 +1050,7 @@ class TestStoredDecompositions:
         )
         ledgers = [section for section in report.sections if "ledger" in section.title]
         assert [section.rows[-1] for section in ledgers] == [("total", "7")] * 2
-        assert len(detections) == 1
+        assert len(detections) == 0
 
     def test_an_env_reject_run_detects_nothing(self, detections):
         # the rotated declared state is read off its parts
@@ -1134,25 +1137,28 @@ def test_declared_blocks_match_detection(seed, n, mask, tols):
     gen = np.random.default_rng(seed)
     state = _initial_state(parse_scenario(json.dumps(declared_doc(gen, n))))
     n = state.n_qubits
-    # the parts multiply to φ in register order, up to rounding
+    # the parts, one range of positions each in register order, multiply
+    # to φ up to rounding
+    assert [p for positions, _ in state._blocks for p in positions] == list(range(n))
     if n <= 10:
-        phi = state._values if state._index is None else statevec._scatter(n, state._index, state._values)
-        product = np.ones(1, dtype=complex)
-        for m, (c_up, c_down) in state._blocks:
-            part = np.zeros(2**m, dtype=complex)
-            part[[0, -1]] = c_up, c_down
-            product = np.multiply.outer(product, part).reshape(-1)
-        assert np.max(np.abs(product - phi)) <= 1e-15
+        assert np.max(np.abs(parts_product(state) - stored_dense(state))) <= 1e-15
     for pos in range(n):
         if (mask >> pos) & 1:
             state = rotate_basis(state, state.register.labels[pos])
+    assert state._blocks is not None and stripped(state)._blocks is None
+    assert_clusters_match_detection(state, tols)
+
+
+def assert_clusters_match_detection(state, tols):
+    """``find_clusters`` in both modes equals detection on the state
+    stripped of its parts, and at n ≤ 10 the dense reference: the same
+    members, flips, residual, measures or error, coefficients within 1e-12."""
     bare = stripped(state)
-    assert state._blocks is not None and bare._blocks is None
     for tol in tols:
         for relabel in (False, True):
             got = decomposition_or_error(find_clusters, state, tol, relabel)
             wants = [decomposition_or_error(find_clusters, bare, tol, relabel)]
-            if n <= 10:
+            if state.n_qubits <= 10:
                 wants.append(decomposition_or_error(dense_find_clusters, state, tol, relabel))
             for want in wants:
                 if isinstance(want, str):
@@ -1162,6 +1168,38 @@ def test_declared_blocks_match_detection(seed, n, mask, tols):
                 assert [cluster_measure(c, tol) for c in got.clusters] == [
                     cluster_measure(c, tol) for c in want.clusters
                 ]
+
+
+GATE_KINDS = {"swap": swap, "imprint": imprint, "inverse": inverse_imprint}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 14),
+    script=st.lists(
+        st.tuples(st.sampled_from([*GATE_KINDS, "rotate"]), st.integers(0, 13), st.integers(1, 13)),
+        max_size=10,
+    ),
+    tols=st.lists(st.sampled_from(TOLS), min_size=2, max_size=2, unique=True),
+)
+# a target whose part reads ↓ throughout, imprinted by a two-branch source
+@example(seed=108, n=2, script=[("imprint", 0, 1)], tols=[1e-12, 0.3])
+def test_gate_blocks_match_detection(seed, n, script, tols):
+    # Random swaps, imprints, inverse imprints and rotations on a declared
+    # state: wherever the gates keep its parts, they multiply to φ and
+    # cluster detection reads off them what it detects without them.
+    gen = np.random.default_rng(seed)
+    state = _initial_state(parse_scenario(json.dumps(declared_doc(gen, n))))
+    n, names = state.n_qubits, state.register.labels
+    for kind, i, j in script:
+        a, b = names[i % n], names[(i + 1 + j % (n - 1)) % n]
+        gated = rotate_basis(state, a) if kind == "rotate" else GATE_KINDS[kind](state, a, b)
+        if gated._blocks is None:
+            break
+        state = gated
+        assert np.max(np.abs(parts_product(state) - stored_dense(state))) <= 1e-12
+    assert_clusters_match_detection(state, tols)
 
 
 # Cluster detection on a full support: every one of the 2^n positions is a

@@ -8,6 +8,7 @@ from qmeasure.gates import (
     InverseImprint,
     RotateBasis,
     Swap,
+    apply_gate,
     apply_script,
     imprint,
     inverse_imprint,
@@ -143,6 +144,34 @@ class TestApplyScript:
             script = random_script(rng, labels(n), int(rng.integers(1, 12)))
             out = apply_script(apply_script(state, script), invert_script(script))
             assert approx_eq(out, state, 1e-12)
+
+    def test_a_run_of_rotations_flips_its_flags_at_once(self):
+        state = product_state(labels(4), [(1, 0), (0.6, 0.8j), (1, 1), (0, 1)])
+        for targets in (["q1"], ["q0", "q2", "q0", "q3"], ["q1", "q1"]):
+            chained = state
+            for target in targets:
+                chained = rotate_basis(chained, target)
+            folded = apply_script(state, [RotateBasis(target) for target in targets])
+            assert folded._frame == chained._frame
+            assert folded._values is chained._values
+            assert folded._blocks is chained._blocks
+        # runs between other gates, the last one ending the script
+        script = [RotateBasis("q0"), RotateBasis("q1"), Swap("q0", "q2"), RotateBasis("q2"),
+                  RotateBasis("q1"), Imprint("q1", "q2"), RotateBasis("q3"), RotateBasis("q1")]
+        chained = state
+        for op in script:
+            chained = apply_gate(chained, op)
+        folded = apply_script(state, script)
+        assert folded._frame == chained._frame
+        assert np.array_equal(folded._index, chained._index)
+        assert np.array_equal(folded._values, chained._values)
+        assert folded._blocks == chained._blocks
+        assert chained._blocks is not None
+        with pytest.raises(ValueError) as chained_error:
+            rotate_basis(rotate_basis(state, "q0"), "nope")
+        with pytest.raises(ValueError) as folded_error:
+            apply_script(state, [RotateBasis("q0"), RotateBasis("nope"), Swap("q0", "q1")])
+        assert str(folded_error.value) == str(chained_error.value)
 
     def test_invalid_gate_raises_and_input_unchanged(self, rng):
         state = random_state(rng, labels(2))

@@ -27,7 +27,7 @@ from qmeasure.statevec import (
     tensor,
 )
 
-from conftest import assert_unchanged, labels, random_pair, random_state
+from conftest import assert_unchanged, labels, parts_product, random_pair, random_state, stored_dense
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -229,23 +229,44 @@ class TestDeclaredBlocks:
     def test_declared_products_keep_their_normalized_parts(self):
         pairs = [(0.6, 0.8j), (1, 0), (1, 2)]
         blocks = tuple(
-            (m, tuple(statevec._normalized_pair(pair, "pair").tolist())) for m, pair in zip((1, 1, 3), pairs)
+            (positions, tuple(statevec._normalized_pair(pair, "pair").tolist()))
+            for positions, pair in zip(((0,), (1,), (2, 3, 4)), pairs)
         )
         assert declared_state()._blocks == blocks
         assert product_state(("s", "o"), pairs[:2])._blocks == blocks[:2]
-        assert make_ghz(("e1", "e2", "e3"), pairs[2])._blocks == blocks[2:]
-        assert basis_state(("a", "b"), "↑↓")._blocks == ((1, (1, 0)), (1, (0, 1)))
+        assert make_ghz(("e1", "e2", "e3"), pairs[2])._blocks == (((0, 1, 2), blocks[2][1]),)
+        assert basis_state(("a", "b"), "↑↓")._blocks == (((0,), (1, 0)), ((1,), (0, 1)))
 
-    def test_the_rotation_keeps_them_and_every_other_constructor_drops_them(self):
+    def test_the_gates_carry_them_and_every_other_constructor_drops_them(self):
+        # s = (0.6, 0.8i) at 0, o = |↑⟩ at 1, a GHZ (1, 2)/√5 at 2, 3, 4
         state = declared_state()
+        s, o, ghz = (part[1] for part in state._blocks)
         rotated = rotate_basis(rotate_basis(state, "s"), "e2")
         assert rotated._blocks is state._blocks
+        kept = {
+            # a swap relabels, within a part too
+            swap(state, "o", "e3"): [((0,), s), ((1, 2, 3), ghz), ((4,), o)],
+            swap(rotated, "s", "o"): [((0,), o), ((1,), s), ((2, 3, 4), ghz)],
+            swap(state, "e1", "e3"): [((0,), s), ((1,), o), ((2, 3, 4), ghz)],
+            # a target in the source's part leaves it as |↑⟩
+            imprint(state, "e1", "e2"): [((0,), s), ((1,), o), ((2, 4), ghz), ((3,), (1, 0))],
+            # a source that reads ↑ throughout fires nothing
+            imprint(state, "o", "s"): [((0,), s), ((1,), o), ((2, 3, 4), ghz)],
+            # a target whose part reads ↑ throughout joins a two-branch source
+            imprint(state, "s", "o"): [((0, 1), s), ((2, 3, 4), ghz)],
+            inverse_imprint(state, "e3", "o"): [((0,), s), ((1, 2, 3, 4), ghz)],
+            # both operands flagged: the imprint runs reversed on φ
+            imprint(rotate_basis(rotated, "o"), "o", "s"): [((0, 1), s), ((2, 3, 4), ghz)],
+        }
+        for gated, blocks in kept.items():
+            assert sorted(gated._blocks) == blocks
+            assert np.max(np.abs(parts_product(gated) - stored_dense(gated))) <= 1e-15
         dropped = [
-            imprint(state, "s", "e1"),
-            imprint(rotated, "s", "e2"),
-            inverse_imprint(rotated, "e2", "e1"),
-            swap(state, "o", "e3"),
-            swap(rotated, "s", "o"),
+            imprint(state, "s", "e1"),  # a two-branch source, a two-branch target
+            imprint(rotated, "s", "e2"),  # the same, reversed
+            imprint(basis_state(("a", "b"), "↓↑"), "a", "b"),  # a source that reads ↓ throughout
+            imprint(rotated, "s", "o"),  # mixed flags
+            inverse_imprint(rotated, "e2", "e1"),  # mixed flags
             tensor(state, product_state(("x",), [(1, 0)])),
             tensor(product_state(("x",), [(1, 0)]), rotated),
             oracle_apply(state, [RotateBasis("s")]),
